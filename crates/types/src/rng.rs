@@ -226,9 +226,10 @@ impl DetRng {
 
     /// Power-law draw using precomputed constants from
     /// [`PowerLaw::constants`] — the reference inverse-CDF path (one
-    /// `powf` per draw). Hot workload streams use the bit-equal
-    /// [`crate::sampler::PowerLawTable`] instead; this path remains
-    /// the reference the table is built from and verified against.
+    /// `powf` per draw). Hot workload streams use
+    /// [`crate::sampler::PowerLawTable`] instead, bit-equal wherever
+    /// this path is monotone; this path remains the reference the
+    /// table is built from and verified against.
     #[inline]
     pub fn power_law_prepared(&mut self, n: u64, a: f64, inv: f64) -> u64 {
         debug_assert!(n > 0, "power_law over empty domain");

@@ -1,9 +1,10 @@
-//! Table-driven power-law sampling, bit-equal to the `powf` path.
+//! Table-driven power-law sampling, bit-equal to the `powf` path
+//! wherever that path is monotone.
 //!
 //! [`DetRng::power_law_prepared`] costs one `powf` per draw, and the
 //! workload streams draw on every op — the self-profiler attributes
 //! ~14% of hot-loop wall time to op generation, almost all of it
-//! `powf`. This module precomputes, per `(n, skew)` pair, the exact
+//! `powf`. This module precomputes, per `(n, skew)` pair, the
 //! threshold table of the composed draw function
 //!
 //! ```text
@@ -11,20 +12,25 @@
 //! k = power_law_eval(n, a, inv, r * 2^-53)
 //! ```
 //!
-//! `k` is monotone non-decreasing in `r`, so the function is fully
-//! described by `thresholds[k]` = the smallest `r` that yields `k`.
-//! A draw then becomes: one `next_u64`, one bucket-index shift, and a
-//! short binary search — no floating point at all. The thresholds are
-//! found by probing [`power_law_eval`] itself (the same `#[inline]`
-//! scalar both paths share), which is what makes the table **bit-equal
-//! by construction**: every raw draw maps to exactly the index the
-//! reference path would have produced, so golden reports cannot move.
+//! `thresholds[k]` is the first `r` at which `k` is reached, so a draw
+//! becomes one `next_u64`, one bucket-index shift, and a short binary
+//! search — no floating point at all. The thresholds are found by
+//! probing [`power_law_eval`] itself (the same `#[inline]` scalar both
+//! paths share), so wherever `k` is monotone non-decreasing in `r` the
+//! table maps every raw draw to exactly the index the reference path
+//! produces. That holds for every pair the built-in profiles use (skew
+//! 1.05–2.2): a ±4 scan around every threshold finds no disagreement.
+//! At skew < 1 `powf` rounding makes `k` step back at a few raw draws
+//! and the table, which must be monotone, differs there: at
+//! `(n = 128, skew = 0.5)`, `r = 7516553633913224` gives 92 from
+//! [`power_law_eval`] and 91 from the table. The same scan finds 30
+//! such draws over `n` ∈ {128, 1000, 48 000} at skew 0.5.
 //!
 //! Tables are deduplicated in a process-global cache keyed on
-//! `(n, skew)` — the built-in benchmarks use a few dozen distinct
-//! pairs, each table costing `8n` bytes (≤ 384 KiB at the largest
-//! `n = 48000`). `MMM_TABLE_SAMPLER=off` is a runtime escape hatch
-//! that falls back to the reference `powf` path everywhere.
+//! `(n, skew)` — the built-in benchmarks use 34 distinct pairs, each
+//! table costing `8n` bytes plus a 16 KiB bucket index (625 KiB at the
+//! largest, OLTP's `n = 80 000`). Domains above 2^20 use the reference
+//! path.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -53,9 +59,9 @@ const MAX_TABLE_N: u64 = 1 << 20;
 struct TableInner {
     /// Domain size.
     n: u64,
-    /// Skew the table was built for (kept for `Debug` output).
+    /// Skew the table was built for.
     skew: f64,
-    /// `thresholds[k]` = smallest raw draw yielding index `k`
+    /// `thresholds[k]` = first raw draw the table maps to `k` or above
     /// (`thresholds[0] == 0`; monotone non-decreasing; a value above
     /// [`MAX_R`] marks an index the reference path never produces).
     thresholds: Vec<u64>,
@@ -64,78 +70,92 @@ struct TableInner {
     buckets: Vec<u32>,
 }
 
+/// Analytic estimate of the raw draw where the continuous inverse CDF
+/// crosses `k`, clamped to `[prev, MAX_R]`. The threshold is usually
+/// within two raw draws of it.
+fn estimate(a: f64, inv: f64, k: u64, prev: u64) -> u64 {
+    let u_est = if inv == 0.0 {
+        ((k + 1) as f64).ln() / a.ln()
+    } else {
+        (((k + 1) as f64).powf(1.0 / inv) - 1.0) / (a - 1.0)
+    };
+    ((u_est.clamp(0.0, 1.0) * (1u64 << RAW_BITS) as f64) as u64).clamp(prev, MAX_R)
+}
+
+/// Finds `k`'s threshold in `[prev, MAX_R]`: a raw draw `r` with
+/// `eval(r - 1) < k <= eval(r)` (unique where `eval` is monotone),
+/// `prev` when `eval(prev) >= k`, or `MAX_R + 1` when
+/// `eval(MAX_R) < k` (the reference path never reaches `k`). Gallops
+/// outward from the estimate `r_est` (steps 1, 2, 4, …) to a bracket
+/// `eval(lo) < k <= eval(hi)`, then bisects it; no raw draw is probed
+/// twice.
+fn threshold(mut eval: impl FnMut(u64) -> u64, k: u64, prev: u64, r_est: u64) -> u64 {
+    let (mut lo, mut hi) = (r_est, r_est);
+    let mut step = 1;
+    if eval(r_est) >= k {
+        loop {
+            if hi == prev {
+                return prev;
+            }
+            lo = hi.saturating_sub(step).max(prev);
+            if eval(lo) < k {
+                break;
+            }
+            hi = lo;
+            step *= 2;
+        }
+    } else {
+        loop {
+            if lo == MAX_R {
+                return MAX_R + 1;
+            }
+            hi = (lo + step).min(MAX_R);
+            if eval(hi) >= k {
+                break;
+            }
+            lo = hi;
+            step *= 2;
+        }
+    }
+    while lo + 1 < hi {
+        let m = lo + (hi - lo) / 2;
+        if eval(m) >= k {
+            hi = m;
+        } else {
+            lo = m;
+        }
+    }
+    hi
+}
+
 impl TableInner {
-    /// Builds the exact threshold table for `(n, skew)` by probing the
-    /// shared reference evaluation. Cost is `O(n log n)` evaluations
-    /// (an analytic first guess keeps the per-index search local), a
-    /// few milliseconds at the largest benchmark domain.
-    fn build(n: u64, skew: f64) -> Self {
+    /// Builds the threshold table for `(n, skew)` by probing the shared
+    /// reference evaluation, and returns it with the number of
+    /// [`power_law_eval`] probes made: about 2.5 per index, plus one
+    /// `powf` per index for the estimate. OLTP's two `n = 80 000`
+    /// tables take 9–14 ms each on a 2-vCPU Intel Xeon VM.
+    fn build(n: u64, skew: f64) -> (Self, u64) {
         let (a, inv) = PowerLaw::constants(n, skew);
-        let eval = |r: u64| power_law_eval(n, a, inv, r as f64 * UNIT_SCALE);
+        let mut probes = 0u64;
+        let mut eval = |r: u64| {
+            probes += 1;
+            power_law_eval(n, a, inv, r as f64 * UNIT_SCALE)
+        };
         let mut thresholds = Vec::with_capacity(n as usize);
         thresholds.push(0u64);
         let mut prev = 0u64;
         for k in 1..n {
-            if prev > MAX_R {
-                // Earlier index already unreachable; so is this one.
-                thresholds.push(prev);
-                continue;
+            // Once an index is unreachable, so is every later one.
+            if prev <= MAX_R {
+                prev = threshold(&mut eval, k, prev, estimate(a, inv, k, prev));
             }
-            // Analytic estimate of where the continuous inverse CDF
-            // crosses k; the threshold sits within a few raw-draw
-            // steps of it.
-            let u_est = if inv == 0.0 {
-                ((k + 1) as f64).ln() / a.ln()
-            } else {
-                (((k + 1) as f64).powf(1.0 / inv) - 1.0) / (a - 1.0)
-            };
-            let r_est =
-                ((u_est.clamp(0.0, 1.0) * (1u64 << RAW_BITS) as f64) as u64).clamp(prev, MAX_R);
-            // Bracket the crossing: grow outward exponentially until
-            // eval(lo) < k <= eval(hi) (or we hit the domain edges).
-            let mut lo = r_est.saturating_sub(64).max(prev);
-            let mut hi = r_est.saturating_add(64).min(MAX_R);
-            let mut step = 128u64;
-            while lo > prev && eval(lo) >= k {
-                lo = lo.saturating_sub(step).max(prev);
-                step = step.saturating_mul(2);
-            }
-            step = 128;
-            while hi < MAX_R && eval(hi) < k {
-                hi = hi.saturating_add(step).min(MAX_R);
-                step = step.saturating_mul(2);
-            }
-            if eval(hi) < k {
-                // The reference path never reaches k: mark unreachable.
-                prev = MAX_R + 1;
-                thresholds.push(prev);
-                continue;
-            }
-            let mut r = if eval(lo) >= k {
-                lo
-            } else {
-                // Invariant: eval(lo) < k <= eval(hi); find min r with
-                // eval(r) >= k.
-                let (mut l, mut h) = (lo, hi);
-                while l + 1 < h {
-                    let m = l + (h - l) / 2;
-                    if eval(m) >= k {
-                        h = m;
-                    } else {
-                        l = m;
-                    }
-                }
-                h
-            };
-            // Nudge down over any local float non-monotonicity so the
-            // threshold is the true minimum (the bit-equality tests
-            // scan these boundaries exhaustively).
-            while r > prev && eval(r - 1) >= k {
-                r -= 1;
-            }
-            prev = r.max(prev);
             thresholds.push(prev);
         }
+        (Self::from_thresholds(n, skew, thresholds), probes)
+    }
+
+    /// Wraps finished thresholds with their bucket index.
+    fn from_thresholds(n: u64, skew: f64, thresholds: Vec<u64>) -> Self {
         // Bucket index: answer at each bucket boundary, bracketing the
         // per-draw binary search.
         let mut buckets = vec![0u32; (1usize << BUCKET_BITS) + 1];
@@ -185,16 +205,9 @@ fn cache() -> &'static TableCache {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Whether table-driven sampling is enabled (`MMM_TABLE_SAMPLER=off`
-/// reverts every stream to the reference `powf` path). Read once per
-/// process.
-pub fn table_enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| std::env::var("MMM_TABLE_SAMPLER").map_or(true, |v| v != "off"))
-}
-
 /// A precomputed power-law sampler, bit-equal to
-/// [`DetRng::power_law_prepared`] for the same `(n, skew)`.
+/// [`DetRng::power_law_prepared`] for the same `(n, skew)` wherever
+/// that path is monotone (see the module docs).
 ///
 /// Cheap to clone (the payload is `Arc`-shared through a global cache,
 /// so repeated construction for the same parameters reuses one table).
@@ -225,7 +238,7 @@ impl PowerLawTable {
         }
         // Build outside the lock (construction takes milliseconds);
         // a racing duplicate build is benign — first insert wins.
-        let built = Arc::new(TableInner::build(n, skew));
+        let built = Arc::new(TableInner::build(n, skew).0);
         let mut map = cache().lock().unwrap();
         let entry = map.entry(key).or_insert(built);
         Self {
@@ -237,6 +250,12 @@ impl PowerLawTable {
     #[inline]
     pub fn n(&self) -> u64 {
         self.inner.n
+    }
+
+    /// Skew the table was built for.
+    #[inline]
+    pub fn skew(&self) -> f64 {
+        self.inner.skew
     }
 
     /// Maps a 53-bit raw draw (`next_u64() >> 11`, the exact value
@@ -264,23 +283,24 @@ impl std::fmt::Debug for PowerLawTable {
     }
 }
 
-/// The sampler a workload stream actually holds: the table when
-/// enabled and the domain is table-sized, the reference `powf` path
-/// otherwise. Both arms produce bit-identical draw sequences.
+/// The sampler a workload stream actually holds: the table whenever
+/// the domain is table-sized, the reference `powf` path above that.
+/// The two arms agree wherever [`power_law_eval`] is monotone (see the
+/// module docs).
 #[derive(Clone, Debug)]
 pub enum PowerLawSampler {
     /// Table-driven hot path.
     Table(PowerLawTable),
-    /// Per-draw `powf` reference path.
+    /// Per-draw `powf` path: the only one for domains above the
+    /// table-size guard.
     Reference(PowerLaw),
 }
 
 impl PowerLawSampler {
-    /// Builds the preferred sampler for `(n, skew)`: table-driven
-    /// unless disabled via `MMM_TABLE_SAMPLER=off` or the domain
-    /// exceeds the table-size guard.
+    /// Builds the sampler for `(n, skew)`: table-driven unless the
+    /// domain exceeds the table-size guard.
     pub fn new(n: u64, skew: f64) -> Self {
-        if table_enabled() && n <= MAX_TABLE_N {
+        if n <= MAX_TABLE_N {
             Self::Table(PowerLawTable::shared(n, skew))
         } else {
             Self::Reference(PowerLaw::new(n, skew))
@@ -316,14 +336,164 @@ impl PowerLawSampler {
 mod tests {
     use super::*;
 
-    /// Every `(n, skew)` shape the built-in benchmarks use, plus the
-    /// degenerate and Zipf corners.
+    /// A grid of domain sizes and skews, with the degenerate, Zipf and
+    /// skew < 1 corners.
     const DOMAINS: [u64; 4] = [1, 2, 128, 48_000];
     const SKEWS: [f64; 7] = [0.5, 1.0, 1.05, 1.3, 1.5, 1.9, 2.2];
+
+    /// Every distinct `(n, skew)` pair the built-in profiles build.
+    /// mmm-workload's `stream` tests check this list against the
+    /// profiles themselves.
+    const PROFILE_PAIRS: [(u64, f64); 34] = [
+        (128, 1.3),
+        (128, 1.35),
+        (128, 1.5),
+        (256, 1.05),
+        (256, 1.3),
+        (256, 1.5),
+        (512, 1.05),
+        (512, 1.3),
+        (512, 1.5),
+        (1024, 2.2),
+        (3072, 2.2),
+        (4096, 1.9),
+        (6144, 1.8),
+        (7000, 1.5),
+        (8000, 1.05),
+        (8000, 1.3),
+        (8000, 1.35),
+        (8000, 1.5),
+        (12000, 1.35),
+        (12500, 1.35),
+        (13000, 1.35),
+        (16000, 1.05),
+        (16000, 1.3),
+        (24000, 1.05),
+        (24000, 1.3),
+        (24000, 1.5),
+        (30000, 1.5),
+        (48000, 1.05),
+        (48000, 1.3),
+        (48000, 1.35),
+        (64000, 1.05),
+        (64000, 1.35),
+        (80000, 1.05),
+        (80000, 1.35),
+    ];
 
     fn eval_r(n: u64, skew: f64, r: u64) -> u64 {
         let (a, inv) = PowerLaw::constants(n, skew);
         power_law_eval(n, a, inv, r as f64 * UNIT_SCALE)
+    }
+
+    impl TableInner {
+        /// The search `build` replaced: brackets ±64 raw draws around
+        /// the estimate, widens the bracket by doubling steps from 128,
+        /// bisects, then nudges down. About 12 probes per index.
+        fn build_bracketed(n: u64, skew: f64) -> (Self, u64) {
+            let (a, inv) = PowerLaw::constants(n, skew);
+            let mut probes = 0u64;
+            let mut eval = |r: u64| {
+                probes += 1;
+                power_law_eval(n, a, inv, r as f64 * UNIT_SCALE)
+            };
+            let mut thresholds = Vec::with_capacity(n as usize);
+            thresholds.push(0u64);
+            let mut prev = 0u64;
+            for k in 1..n {
+                if prev > MAX_R {
+                    thresholds.push(prev);
+                    continue;
+                }
+                let r_est = estimate(a, inv, k, prev);
+                let mut lo = r_est.saturating_sub(64).max(prev);
+                let mut hi = r_est.saturating_add(64).min(MAX_R);
+                let mut step = 128u64;
+                while lo > prev && eval(lo) >= k {
+                    lo = lo.saturating_sub(step).max(prev);
+                    step = step.saturating_mul(2);
+                }
+                step = 128;
+                while hi < MAX_R && eval(hi) < k {
+                    hi = hi.saturating_add(step).min(MAX_R);
+                    step = step.saturating_mul(2);
+                }
+                if eval(hi) < k {
+                    prev = MAX_R + 1;
+                    thresholds.push(prev);
+                    continue;
+                }
+                let mut r = if eval(lo) >= k {
+                    lo
+                } else {
+                    let (mut l, mut h) = (lo, hi);
+                    while l + 1 < h {
+                        let m = l + (h - l) / 2;
+                        if eval(m) >= k {
+                            h = m;
+                        } else {
+                            l = m;
+                        }
+                    }
+                    h
+                };
+                while r > prev && eval(r - 1) >= k {
+                    r -= 1;
+                }
+                prev = r.max(prev);
+                thresholds.push(prev);
+            }
+            (Self::from_thresholds(n, skew, thresholds), probes)
+        }
+    }
+
+    fn grid_and_profile_pairs() -> impl Iterator<Item = (u64, f64)> {
+        DOMAINS
+            .into_iter()
+            .flat_map(|n| SKEWS.map(|skew| (n, skew)))
+            .chain(PROFILE_PAIRS)
+    }
+
+    #[test]
+    fn galloping_build_matches_the_bracketed_search() {
+        for (n, skew) in grid_and_profile_pairs() {
+            let (table, _) = TableInner::build(n, skew);
+            let (old, _) = TableInner::build_bracketed(n, skew);
+            assert!(
+                table.thresholds == old.thresholds,
+                "thresholds differ for n={n} skew={skew}"
+            );
+            assert!(
+                table.buckets == old.buckets,
+                "buckets differ for n={n} skew={skew}"
+            );
+        }
+    }
+
+    #[test]
+    fn build_probes_about_two_and_a_half_draws_per_index() {
+        let (mut probes, mut indices) = (0u64, 0u64);
+        for (n, skew) in PROFILE_PAIRS {
+            let (_, p) = TableInner::build(n, skew);
+            let per_index = p as f64 / n as f64;
+            assert!(
+                per_index <= 4.0,
+                "{per_index:.2} probes per index for n={n} skew={skew}"
+            );
+            probes += p;
+            indices += n;
+        }
+        let mean = probes as f64 / indices as f64;
+        assert!(mean <= 3.0, "{mean:.2} probes per index over the profiles");
+    }
+
+    #[test]
+    fn table_differs_from_eval_where_eval_is_not_monotone() {
+        // At skew < 1 `powf` rounding makes eval non-monotone at a few
+        // raw draws, where the monotone table cannot follow it.
+        let r = 7_516_553_633_913_224;
+        assert_eq!(eval_r(128, 0.5, r), 92);
+        assert_eq!(PowerLawTable::shared(128, 0.5).lookup(r), 91);
     }
 
     #[test]

@@ -27,8 +27,9 @@ const STORE_SPREAD_SKEW: f64 = 1.05;
 
 /// Precomputed power-law samplers for one phase's regions. Each is
 /// table-driven (built once per distinct `(lines, skew)` pair via the
-/// process-global cache in `mmm_types::sampler`) and bit-equal to the
-/// per-draw `powf` reference path it replaced.
+/// process-global cache in `mmm_types::sampler`) and, on every pair
+/// the built-in profiles use, bit-equal to the per-draw `powf`
+/// reference path it replaced.
 #[derive(Clone, Debug)]
 struct PhaseSamplers {
     hot: PowerLawSampler,
@@ -52,6 +53,19 @@ impl PhaseSamplers {
             shared_store: opt(p.shared_lines, STORE_SPREAD_SKEW),
             code: PowerLawSampler::new(p.code_lines, p.code_skew),
         }
+    }
+}
+
+#[cfg(test)]
+impl PhaseSamplers {
+    /// Every sampler this phase holds.
+    fn all(&self) -> impl Iterator<Item = &PowerLawSampler> {
+        [&self.hot, &self.private, &self.code]
+            .into_iter()
+            .chain(self.os.iter())
+            .chain(self.shared.iter())
+            .chain(self.os_store.iter())
+            .chain(self.shared_store.iter())
     }
 }
 
@@ -402,9 +416,116 @@ mod tests {
     use super::*;
     use crate::benchmarks::Benchmark;
     use mmm_types::ids::PAGE_BYTES;
+    use mmm_types::rng::{power_law_eval, PowerLaw};
+    use mmm_types::sampler::PowerLawTable;
 
     fn stream(b: Benchmark) -> OpStream {
         OpStream::new(b.profile(), VmId(0), VcpuId(1), 42)
+    }
+
+    /// The `(n, skew)` pairs of [`profile_tables`]. mmm-types' sampler
+    /// tests check the table build on the same list; update both when a
+    /// profile changes.
+    const PROFILE_PAIRS: [(u64, f64); 34] = [
+        (128, 1.3),
+        (128, 1.35),
+        (128, 1.5),
+        (256, 1.05),
+        (256, 1.3),
+        (256, 1.5),
+        (512, 1.05),
+        (512, 1.3),
+        (512, 1.5),
+        (1024, 2.2),
+        (3072, 2.2),
+        (4096, 1.9),
+        (6144, 1.8),
+        (7000, 1.5),
+        (8000, 1.05),
+        (8000, 1.3),
+        (8000, 1.35),
+        (8000, 1.5),
+        (12000, 1.35),
+        (12500, 1.35),
+        (13000, 1.35),
+        (16000, 1.05),
+        (16000, 1.3),
+        (24000, 1.05),
+        (24000, 1.3),
+        (24000, 1.5),
+        (30000, 1.5),
+        (48000, 1.05),
+        (48000, 1.3),
+        (48000, 1.35),
+        (64000, 1.05),
+        (64000, 1.35),
+        (80000, 1.05),
+        (80000, 1.35),
+    ];
+
+    /// Every distinct table the built-in profiles' samplers use,
+    /// ordered by `(n, skew)`.
+    fn profile_tables() -> Vec<PowerLawTable> {
+        let mut tables: Vec<PowerLawTable> = Vec::new();
+        for b in Benchmark::all().into_iter().chain([Benchmark::SpecLike]) {
+            for phase in &StreamSamplers::new(&b.profile()).phase {
+                for sampler in phase.all() {
+                    let PowerLawSampler::Table(t) = sampler else {
+                        panic!("{} builds a domain above the table-size guard", b.name());
+                    };
+                    if !tables
+                        .iter()
+                        .any(|u| (u.n(), u.skew()) == (t.n(), t.skew()))
+                    {
+                        tables.push(t.clone());
+                    }
+                }
+            }
+        }
+        tables.sort_by(|a, b| (a.n(), a.skew()).partial_cmp(&(b.n(), b.skew())).unwrap());
+        tables
+    }
+
+    #[test]
+    fn profile_pairs_are_the_ones_the_sampler_tests_check() {
+        let pairs: Vec<(u64, f64)> = profile_tables().iter().map(|t| (t.n(), t.skew())).collect();
+        assert_eq!(pairs, PROFILE_PAIRS);
+    }
+
+    #[test]
+    fn profile_tables_agree_with_power_law_eval_at_every_boundary() {
+        const MAX_R: u64 = (1 << 53) - 1;
+        for t in &profile_tables() {
+            let (n, skew) = (t.n(), t.skew());
+            let (a, inv) = PowerLaw::constants(n, skew);
+            let eval = |r: u64| power_law_eval(n, a, inv, r as f64 / (1u64 << 53) as f64);
+            let mut first = 0u64;
+            for k in 1..n {
+                if t.lookup(MAX_R) < k {
+                    break;
+                }
+                // First raw draw the table maps to k or above.
+                if t.lookup(first) < k {
+                    let (mut lo, mut hi) = (first, MAX_R);
+                    while lo + 1 < hi {
+                        let m = lo + (hi - lo) / 2;
+                        if t.lookup(m) >= k {
+                            hi = m;
+                        } else {
+                            lo = m;
+                        }
+                    }
+                    first = hi;
+                }
+                for r in [first - 1, first, (first + 1).min(MAX_R)] {
+                    assert_eq!(
+                        t.lookup(r),
+                        eval(r),
+                        "r={r} (k={k}) diverged for n={n} skew={skew}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
