@@ -110,6 +110,7 @@ fn main() {
             },
             1,
             Some(1e-5),
+            e.forensics,
         ));
         return;
     }

@@ -98,6 +98,7 @@ fn main() {
             Workload::ReunionDmr(Benchmark::Oltp),
             1,
             None,
+            e.forensics,
         ));
         return;
     }

@@ -130,6 +130,7 @@ fn main() {
             },
             1,
             None,
+            e.forensics,
         ));
         return;
     }

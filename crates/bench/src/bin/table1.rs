@@ -47,6 +47,7 @@ fn main() {
             },
             1,
             None,
+            e.forensics,
         ));
         return;
     }

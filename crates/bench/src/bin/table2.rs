@@ -53,6 +53,7 @@ fn main() {
             Workload::SingleOsMixed(Benchmark::Apache),
             1,
             None,
+            e.forensics,
         ));
         return;
     }

@@ -24,7 +24,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use mmm_core::run_cells;
+use mmm_core::{env_threads, run_cells};
 use mmm_trace::Json;
 
 pub use manifest::Manifest;
@@ -71,17 +71,6 @@ pub struct CampaignOutcome {
     pub complete: bool,
     /// Where the merged aggregate was written.
     pub aggregate_path: PathBuf,
-}
-
-fn env_threads() -> usize {
-    let default = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    std::env::var("MMM_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n: &usize| n > 0)
-        .unwrap_or(default)
 }
 
 /// Writes `text` to `path` via a temp file and atomic rename.

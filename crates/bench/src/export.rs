@@ -52,12 +52,19 @@ pub struct TracedRun {
 /// and the flight recorder on, returning the Chrome trace-event
 /// document (with metrics counter tracks appended) and the sampled
 /// metrics time-series. Deterministic for a fixed `(cfg, workload,
-/// seed, fault_rate)`.
+/// seed, fault_rate, forensics)`.
+///
+/// With `forensics` (the caller's [`mmm_core::Experiment::forensics`])
+/// the run also records fault lifecycles and appends one async
+/// Perfetto span per fault (injection → verdict, colored by outcome)
+/// to the trace. The spans are strictly appended after the base
+/// events, so the forensics-off document is a byte-identical prefix.
 pub fn traced_run(
     cfg: &SystemConfig,
     workload: Workload,
     seed: u64,
     fault_rate: Option<f64>,
+    forensics: bool,
 ) -> TracedRun {
     let mut sys = System::new(cfg, workload, seed).expect("traced run builds");
     if let Some(rate) = fault_rate {
@@ -65,15 +72,7 @@ pub fn traced_run(
     }
     sys.attach_tracer(Tracer::ring(TRACE_RING));
     sys.attach_sampler(Sampler::every(SAMPLE_INTERVAL));
-    // With `MMM_FORENSICS` set, the traced run also records fault
-    // lifecycles and appends one async Perfetto span per fault
-    // (injection → verdict, colored by outcome) to the trace. The
-    // spans are strictly appended after the base events, so the
-    // forensics-off document is a byte-identical prefix.
-    let forensic = std::env::var("MMM_FORENSICS")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false);
-    if forensic {
+    if forensics {
         sys.attach_forensics(Forensics::enabled(cfg.cores as usize, FORENSICS_WINDOW));
     }
     sys.run(TRACE_CYCLES);
@@ -195,8 +194,8 @@ mod tests {
     fn traced_run_is_deterministic_and_perfetto_shaped() {
         let cfg = SystemConfig::default();
         let w = Workload::ReunionDmr(Benchmark::Apache);
-        let a = traced_run(&cfg, w, 1, None);
-        let b = traced_run(&cfg, w, 1, None);
+        let a = traced_run(&cfg, w, 1, None, false);
+        let b = traced_run(&cfg, w, 1, None, false);
         assert_eq!(
             a.trace_json, b.trace_json,
             "same seed must produce an identical trace"

@@ -4,9 +4,7 @@
 //! criterion; this module provides the minimum that replaces it:
 //! warmup, repeated timed batches, and a median-of-batches report in
 //! ns/iteration. Batches amortize timer overhead; the median resists
-//! scheduler noise. Output is one self-describing line per benchmark,
-//! plus a machine-readable `name,ns_per_iter` line when
-//! `MMM_BENCH_CSV=1`.
+//! scheduler noise. Output is one self-describing line per benchmark.
 
 pub use std::hint::black_box;
 use std::time::Instant;
@@ -46,9 +44,6 @@ pub fn bench(name: &str, mut f: impl FnMut()) -> f64 {
     per_iter.sort_by(|a, b| a.total_cmp(b));
     let median = per_iter[samples / 2];
     println!("{name:<40} {median:>10.1} ns/iter  (batch={batch}, {samples} samples)");
-    if std::env::var("MMM_BENCH_CSV").is_ok() {
-        println!("CSV,{name},{median}");
-    }
     median
 }
 

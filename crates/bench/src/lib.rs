@@ -19,14 +19,12 @@ pub mod perf;
 /// top of the given defaults (sized per figure so cache state reaches
 /// capacity equilibrium — the paper ran 100 M cycles per run).
 pub fn experiment_sized(default_warmup: u64, default_measure: u64) -> Experiment {
-    let mut e = Experiment::from_env();
-    if std::env::var("MMM_MEASURE").is_err() {
-        e.measure = default_measure;
+    Experiment {
+        warmup: default_warmup,
+        measure: default_measure,
+        ..Experiment::default()
     }
-    if std::env::var("MMM_WARMUP").is_err() {
-        e.warmup = default_warmup;
-    }
-    e
+    .with_env()
 }
 
 /// Default-sized harness experiment.

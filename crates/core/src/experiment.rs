@@ -7,15 +7,18 @@
 //! with *committed user instructions* as the work metric.
 //!
 //! Run lengths default to a laptop-scale budget and are overridable
-//! through environment variables so the bench harness can scale up:
+//! through environment variables so the bench harness can scale up.
+//! This module is the one place the simulator reads them; a value
+//! that is unset or does not parse leaves the default in place.
 //!
 //! * `MMM_WARMUP` — warm-up cycles per run (default 100 000);
 //! * `MMM_MEASURE` — measured cycles per run (default 400 000;
 //!   the paper used 100 M on a machine-room simulator);
 //! * `MMM_SEEDS` — number of seeds (default 3);
-//! * `MMM_THREADS` — worker threads for [`Experiment::run_many`]
-//!   (default: available parallelism). Reports are bit-identical at
-//!   any thread count — each run is a sealed deterministic simulation.
+//! * `MMM_THREADS` — worker threads for [`Experiment::run_many`] and
+//!   campaigns (default, and for `0`: available parallelism). Reports
+//!   are bit-identical at any thread count — each run is a sealed
+//!   deterministic simulation.
 //! * `MMM_SAMPLE_INTERVAL` — flight-recorder sampling interval in
 //!   simulated cycles (default: off). Sampling never changes
 //!   simulated timing or reported metrics.
@@ -98,33 +101,61 @@ impl Default for Experiment {
     }
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
+/// Worker threads for an `MMM_THREADS` value: a positive count as
+/// given; unset, `0` or unparsable means available parallelism.
+fn threads_from(value: Option<&str>) -> usize {
+    value
         .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+        .filter(|&n: &usize| n > 0)
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(4)
+        })
+}
+
+/// Worker threads from the `MMM_THREADS` environment variable (see
+/// the module docs).
+pub fn env_threads() -> usize {
+    threads_from(std::env::var("MMM_THREADS").ok().as_deref())
 }
 
 impl Experiment {
-    /// Builds an experiment, honouring the `MMM_*` environment
-    /// overrides.
+    /// [`Experiment::default`] with the `MMM_*` environment overrides
+    /// applied (see [`Experiment::with_env`]).
     pub fn from_env() -> Self {
-        let mut e = Experiment::default();
-        e.warmup = env_u64("MMM_WARMUP", e.warmup);
-        e.measure = env_u64("MMM_MEASURE", e.measure);
-        let seeds = env_u64("MMM_SEEDS", e.seeds.len() as u64).max(1);
-        e.seeds = (1..=seeds).collect();
-        e.sample_interval = std::env::var("MMM_SAMPLE_INTERVAL")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n: &u64| n > 0);
-        e.profile = std::env::var("MMM_PROFILE")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false);
-        e.forensics = std::env::var("MMM_FORENSICS")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false);
-        e
+        Experiment::default().with_env()
+    }
+
+    /// Applies each `MMM_*` override that is set and parses on top of
+    /// `self`; an unset or unparsable value keeps `self`'s.
+    pub fn with_env(self) -> Self {
+        self.with_vars(|name| std::env::var(name).ok())
+    }
+
+    /// [`Experiment::with_env`] over an arbitrary variable lookup.
+    fn with_vars(mut self, var: impl Fn(&str) -> Option<String>) -> Self {
+        let num = |name| var(name).and_then(|v| v.parse::<u64>().ok());
+        let switch = |name| var(name).map(|v| !v.is_empty() && v != "0");
+        if let Some(n) = num("MMM_WARMUP") {
+            self.warmup = n;
+        }
+        if let Some(n) = num("MMM_MEASURE") {
+            self.measure = n;
+        }
+        if let Some(n) = num("MMM_SEEDS") {
+            self.seeds = (1..=n.max(1)).collect();
+        }
+        if let Some(n) = num("MMM_SAMPLE_INTERVAL") {
+            self.sample_interval = (n > 0).then_some(n);
+        }
+        if let Some(on) = switch("MMM_PROFILE") {
+            self.profile = on;
+        }
+        if let Some(on) = switch("MMM_FORENSICS") {
+            self.forensics = on;
+        }
+        self
     }
 
     /// Runs one `(workload, seed)` pair.
@@ -165,16 +196,12 @@ impl Experiment {
     /// work-queue: workers claim the next job index with a
     /// `fetch_add`, so a long run never strands the rest of a batch
     /// behind it (the old implementation dispatched in fixed-size
-    /// chunks and barriered between chunks). The pool size defaults to
-    /// available parallelism and is overridable with `MMM_THREADS`;
-    /// results are slotted by job index, so the output — like every
-    /// simulated run — is independent of the thread count.
+    /// chunks and barriered between chunks). The pool size is
+    /// [`env_threads`]; results are slotted by job index, so the
+    /// output — like every simulated run — is independent of the
+    /// thread count.
     pub fn run_many(&self, workloads: &[Workload]) -> Result<Vec<RunResult>> {
-        let default_threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        let threads = env_u64("MMM_THREADS", default_threads as u64).max(1) as usize;
-        self.run_many_on(workloads, threads)
+        self.run_many_on(workloads, env_threads())
     }
 
     /// [`Experiment::run_many`] with an explicit worker-thread count
@@ -465,6 +492,66 @@ mod tests {
     fn env_defaults_are_sane() {
         let e = Experiment::from_env();
         assert!(e.warmup > 0 && e.measure > 0 && !e.seeds.is_empty());
+    }
+
+    #[test]
+    fn threads_parse_is_a_positive_count_or_the_default() {
+        let default = threads_from(None);
+        assert!(default >= 1);
+        assert_eq!(threads_from(Some("3")), 3);
+        assert_eq!(threads_from(Some("1")), 1);
+        for v in ["0", "", "four", "-2", " 2"] {
+            assert_eq!(threads_from(Some(v)), default, "{v:?}");
+        }
+    }
+
+    #[test]
+    fn env_overrides_apply_only_values_that_parse() {
+        let base = Experiment {
+            warmup: 7,
+            measure: 9,
+            sample_interval: Some(5),
+            profile: true,
+            ..Experiment::default()
+        };
+        let with = |vars: &[(&str, &str)]| {
+            let vars: Vec<(String, String)> = vars
+                .iter()
+                .map(|&(k, v)| (k.to_string(), v.to_string()))
+                .collect();
+            base.clone()
+                .with_vars(|name| vars.iter().find(|(k, _)| k == name).map(|(_, v)| v.clone()))
+        };
+        // Nothing set: the caller's defaults survive.
+        let e = with(&[]);
+        assert_eq!((e.warmup, e.measure), (7, 9));
+        assert_eq!(e.seeds, [1, 2, 3]);
+        assert_eq!(e.sample_interval, Some(5));
+        assert!(e.profile && !e.forensics);
+        // Set but unparsable: still the caller's defaults.
+        let e = with(&[
+            ("MMM_WARMUP", "lots"),
+            ("MMM_MEASURE", "-1"),
+            ("MMM_SEEDS", "x"),
+            ("MMM_SAMPLE_INTERVAL", "1e4"),
+        ]);
+        assert_eq!((e.warmup, e.measure), (7, 9));
+        assert_eq!(e.seeds, [1, 2, 3]);
+        assert_eq!(e.sample_interval, Some(5));
+        // Set and parsable: applied; `0` turns the sampler off and a
+        // switch is on for any value but empty or `0`.
+        let e = with(&[
+            ("MMM_WARMUP", "100"),
+            ("MMM_MEASURE", "200"),
+            ("MMM_SEEDS", "0"),
+            ("MMM_SAMPLE_INTERVAL", "0"),
+            ("MMM_PROFILE", "0"),
+            ("MMM_FORENSICS", "yes"),
+        ]);
+        assert_eq!((e.warmup, e.measure), (100, 200));
+        assert_eq!(e.seeds, [1]);
+        assert_eq!(e.sample_interval, None);
+        assert!(!e.profile && e.forensics);
     }
 
     #[test]

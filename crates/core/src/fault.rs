@@ -170,40 +170,21 @@ impl FaultStats {
     }
 }
 
-/// How the injector turns the fault *rate* into fault *events*.
-///
-/// Both models realize the same machine-level Bernoulli process
-/// (probability `rate × cores` of one fault per cycle); they differ
-/// only in how many RNG draws — and, downstream, how many simulated
-/// cycles — that realization costs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ArrivalModel {
-    /// Pre-drawn geometric inter-arrival events: one draw per fault
-    /// arrival, and [`FaultInjector::next_at`] announces the arrival
-    /// cycle in advance so the system's event wheel can fast-forward
-    /// straight to it. The geometric inter-arrival time is exactly the
-    /// gap distribution of per-cycle Bernoulli trials, so the two
-    /// models are statistically indistinguishable (asserted, with
-    /// tolerance, by `tests/event_wheel.rs`).
-    #[default]
-    Geometric,
-    /// The reference realization: one Bernoulli trial every cycle.
-    /// [`FaultInjector::next_at`] pins the event wheel to the next
-    /// cycle, forcing the per-cycle simulation the geometric model
-    /// exists to avoid. Kept as the statistical baseline the
-    /// equivalence test measures the geometric model against.
-    Bernoulli,
-}
-
 /// Poisson fault-event source.
+///
+/// The machine-level process is one Bernoulli trial per cycle with
+/// probability `rate × cores`. Its gaps between arrivals are
+/// geometric, so the injector draws each gap once, at the previous
+/// arrival: [`FaultInjector::next_at`] announces the arrival cycle in
+/// advance and the system's event wheel can fast-forward straight to
+/// it. The unit tests check the pre-drawn gaps against a per-cycle
+/// Bernoulli loop.
 #[derive(Debug)]
 pub struct FaultInjector {
     rng: DetRng,
     rate_per_core_cycle: f64,
     cores: u32,
-    model: ArrivalModel,
-    /// Next arrival under [`ArrivalModel::Geometric`] (unused for
-    /// Bernoulli, whose arrivals are drawn cycle by cycle).
+    /// Cycle of the next arrival.
     next_at: Cycle,
     /// Outcome counters, updated by the `System` as effects apply.
     pub stats: FaultStats,
@@ -215,78 +196,40 @@ impl FaultInjector {
     /// Creates an injector with the given per-core-per-cycle fault
     /// rate, drawing geometric inter-arrival events.
     pub fn new(rate_per_core_cycle: f64, cores: u32, seed: u64) -> Self {
-        Self::with_model(rate_per_core_cycle, cores, seed, ArrivalModel::Geometric)
-    }
-
-    /// Creates an injector with an explicit [`ArrivalModel`].
-    pub fn with_model(
-        rate_per_core_cycle: f64,
-        cores: u32,
-        seed: u64,
-        model: ArrivalModel,
-    ) -> Self {
         assert!(rate_per_core_cycle > 0.0, "rate must be positive");
         let mut rng = DetRng::new(seed, 0xFA17);
-        let first = match model {
-            ArrivalModel::Geometric => rng.geometric(rate_per_core_cycle * cores as f64),
-            ArrivalModel::Bernoulli => 0,
-        };
+        let first = rng.geometric(rate_per_core_cycle * cores as f64);
         Self {
             rng,
             rate_per_core_cycle,
             cores,
-            model,
             next_at: first,
             stats: FaultStats::default(),
             telemetry: CampaignTelemetry::default(),
         }
     }
 
-    /// The arrival model in use.
-    pub fn model(&self) -> ArrivalModel {
-        self.model
-    }
-
     /// The earliest cycle after `now` at which a fault can strike —
-    /// the deadline this injector registers with the event wheel. The
-    /// geometric model knows its next arrival exactly; the Bernoulli
-    /// reference draws every cycle, so its answer is always the next
-    /// cycle (pinning the clock to per-cycle simulation).
+    /// the deadline this injector registers with the event wheel.
     pub fn next_event(&self, now: Cycle) -> Cycle {
-        match self.model {
-            ArrivalModel::Geometric => self.next_at.max(now + 1),
-            ArrivalModel::Bernoulli => now + 1,
-        }
+        self.next_at.max(now + 1)
     }
 
-    /// Cycle of the next fault event (geometric model only; the
-    /// Bernoulli reference does not know its arrivals in advance).
+    /// Cycle of the next fault event.
     pub fn next_at(&self) -> Cycle {
         self.next_at
     }
 
     /// If a fault strikes at `now`, returns the struck core and site
-    /// and (for the geometric model) schedules the next arrival.
+    /// and schedules the next arrival.
     pub fn poll(&mut self, now: Cycle) -> Option<(CoreId, FaultSite)> {
-        match self.model {
-            ArrivalModel::Geometric => {
-                if now < self.next_at {
-                    return None;
-                }
-                self.next_at = now
-                    + self
-                        .rng
-                        .geometric(self.rate_per_core_cycle * self.cores as f64);
-            }
-            ArrivalModel::Bernoulli => {
-                if !self
-                    .rng
-                    .chance(self.rate_per_core_cycle * self.cores as f64)
-                {
-                    return None;
-                }
-            }
+        if now < self.next_at {
+            return None;
         }
+        self.next_at = now
+            + self
+                .rng
+                .geometric(self.rate_per_core_cycle * self.cores as f64);
         self.stats.injected += 1;
         let core = CoreId(self.rng.below(self.cores as u64) as u16);
         // Site mix: logic faults dominate projected future rates
@@ -348,6 +291,91 @@ mod tests {
         for now in 0..at.min(10_000) {
             assert!(inj.poll(now).is_none());
         }
+    }
+
+    /// Gaps between arrivals, taken by calling `arrives(now)` once
+    /// per cycle until `n` gaps are collected.
+    fn gaps(n: usize, mut arrives: impl FnMut(Cycle) -> bool) -> Vec<u64> {
+        let mut out = Vec::with_capacity(n);
+        let mut last = None;
+        let mut now = 0;
+        while out.len() < n {
+            if arrives(now) {
+                if let Some(prev) = last {
+                    out.push(now - prev);
+                }
+                last = Some(now);
+            }
+            now += 1;
+        }
+        out
+    }
+
+    /// Sample mean and (unbiased) variance.
+    fn mean_var(xs: &[u64]) -> (f64, f64) {
+        let n = xs.len() as f64;
+        let mean = xs.iter().sum::<u64>() as f64 / n;
+        let var = xs.iter().map(|&x| (x as f64 - mean).powi(2)).sum::<f64>() / (n - 1.0);
+        (mean, var)
+    }
+
+    /// Empirical CDF at `k` of an ascending sample.
+    fn cdf(sorted: &[u64], k: u64) -> f64 {
+        sorted.partition_point(|&x| x <= k) as f64 / sorted.len() as f64
+    }
+
+    /// The pre-drawn geometric gaps are the gap distribution of the
+    /// per-cycle Bernoulli process they replace. With p = rate × cores
+    /// = 0.016 and 20 000 gaps per set, the standard errors are ~0.7%
+    /// on the mean and ~2% on the variance, and the Kolmogorov–Smirnov
+    /// distance has a 0.1% critical value of ~0.014 against the
+    /// analytic CDF and ~0.020 between the two sets. The bands below
+    /// sit at or beyond those: 3% on the mean, 10% on the variance,
+    /// KS 0.014 / 0.020.
+    #[test]
+    fn geometric_gaps_match_per_cycle_bernoulli_trials() {
+        const N: usize = 20_000;
+        let (rate, cores) = (1e-3, 16);
+        let p = rate * cores as f64;
+
+        let mut inj = FaultInjector::new(rate, cores, 11);
+        let mut pre_drawn = gaps(N, |now| inj.poll(now).is_some());
+        let mut rng = DetRng::new(11, 0xBE27);
+        let mut per_cycle = gaps(N, |_| rng.chance(p));
+
+        let want_mean = 1.0 / p;
+        let want_var = (1.0 - p) / (p * p);
+        for (what, xs) in [("pre-drawn", &pre_drawn), ("per-cycle", &per_cycle)] {
+            let (mean, var) = mean_var(xs);
+            assert!(
+                (mean / want_mean - 1.0).abs() < 0.03,
+                "{what}: mean gap {mean:.2} vs 1/p = {want_mean:.2}"
+            );
+            assert!(
+                (var / want_var - 1.0).abs() < 0.10,
+                "{what}: gap variance {var:.0} vs (1-p)/p^2 = {want_var:.0}"
+            );
+        }
+        let ((m1, v1), (m2, v2)) = (mean_var(&pre_drawn), mean_var(&per_cycle));
+        assert!((m1 / m2 - 1.0).abs() < 0.03, "means {m1:.2} vs {m2:.2}");
+        assert!((v1 / v2 - 1.0).abs() < 0.10, "variances {v1:.0} vs {v2:.0}");
+
+        // Whole-distribution agreement: KS distance over every gap
+        // length either set produced.
+        pre_drawn.sort_unstable();
+        per_cycle.sort_unstable();
+        let max_gap = pre_drawn[N - 1].max(per_cycle[N - 1]);
+        let (mut ks_pair, mut ks_pre, mut ks_per) = (0f64, 0f64, 0f64);
+        for k in 1..=max_gap {
+            let analytic = 1.0 - (1.0 - p).powi(k as i32);
+            let (a, b) = (cdf(&pre_drawn, k), cdf(&per_cycle, k));
+            ks_pair = ks_pair.max((a - b).abs());
+            ks_pre = ks_pre.max((a - analytic).abs());
+            ks_per = ks_per.max((b - analytic).abs());
+        }
+        assert!(ks_pre < 0.014, "pre-drawn vs geometric CDF: KS {ks_pre:.4}");
+        assert!(ks_per < 0.014, "per-cycle vs geometric CDF: KS {ks_per:.4}");
+        assert!(ks_pair < 0.020, "pre-drawn vs per-cycle: KS {ks_pair:.4}");
     }
 
     #[test]

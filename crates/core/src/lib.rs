@@ -48,8 +48,8 @@ pub mod transition;
 pub mod vcpu;
 pub mod wheel;
 
-pub use experiment::{run_cells, Cell, Experiment, RunResult};
-pub use fault::{ArrivalModel, FaultInjector, FaultSite, FaultStats};
+pub use experiment::{env_threads, run_cells, Cell, Experiment, RunResult};
+pub use fault::{FaultInjector, FaultSite, FaultStats};
 pub use mode::RelMode;
 pub use pab::{check_store, Pab, PabStats, PabVerdict};
 pub use pat::Pat;

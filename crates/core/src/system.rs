@@ -11,7 +11,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use mmm_cpu::{Boundary, Core, CoreStats, ExecContext, Filter, PabPort, PhaseTracker};
+use mmm_cpu::{Boundary, Core, CoreStats, ExecContext, PabPort, PhaseTracker};
 use mmm_mem::request::store_token;
 use mmm_mem::{MemStats, MemorySystem};
 use mmm_reunion::{DmrPair, PairStats};
@@ -24,7 +24,7 @@ use mmm_types::{CoreId, Cycle, PageAddr, Result, SystemConfig, VcpuId, VmId};
 use mmm_workload::layout::{PAT_BASE, SCRATCHPAD_BASE};
 use mmm_workload::{AddressLayout, OpStream};
 
-use crate::fault::{ArrivalModel, CampaignTelemetry, FaultInjector, FaultSite, FaultStats};
+use crate::fault::{CampaignTelemetry, FaultInjector, FaultSite, FaultStats};
 use crate::mode::RelMode;
 use crate::pab::{Pab, PabStats};
 use crate::pat::Pat;
@@ -406,7 +406,8 @@ pub struct System {
     overcommit_order: Vec<VcpuId>,
     /// Pair-channel counters accumulated from decoupled pairs.
     retired_pair_stats: PairStats,
-    /// Phase trackers harvested from cores at reset/report.
+    /// Sequence numbers for the version tokens of wild stores that
+    /// reach memory (fault-injected writes no VCPU issued).
     fault_token_seq: u64,
     /// Event tracer handle (off by default; clones are distributed to
     /// cores and live pairs by [`System::attach_tracer`]).
@@ -434,13 +435,6 @@ pub struct System {
     /// determinism tests turn it off to prove reports and sampled
     /// series are identical either way.
     skip_enabled: bool,
-    /// Event-wheel escape hatch, read from `MMM_EVENT_WHEEL` at
-    /// construction (`off`/`0` disables). Distinct from
-    /// [`System::set_cycle_skipping`], which the experiment harness
-    /// drives programmatically and would clobber an env-only flag.
-    /// With the wheel off the clock ticks every cycle; reports and
-    /// sampled series are identical either way.
-    wheel_enabled: bool,
 }
 
 impl System {
@@ -498,8 +492,6 @@ impl System {
         if matches!(workload, Workload::SingleOsMixed(_)) {
             wheel.schedule(WakeSource::SingleOsPoll, 0);
         }
-        let wheel_enabled =
-            std::env::var("MMM_EVENT_WHEEL").map_or(true, |v| v != "off" && v != "0");
         let mut sys = System {
             cfg: cfg.clone(),
             workload,
@@ -526,7 +518,6 @@ impl System {
             wheel,
             measure_start: 0,
             skip_enabled: true,
-            wheel_enabled,
         };
         sys.prewarm_scratchpad();
         sys.install_initial_assignments();
@@ -554,16 +545,7 @@ impl System {
     /// cycle, with arrivals pre-drawn as geometric inter-arrival
     /// events so the event wheel can jump straight to each strike.
     pub fn enable_fault_injection(&mut self, rate: f64, seed: u64) {
-        self.enable_fault_injection_with(rate, seed, ArrivalModel::Geometric);
-    }
-
-    /// Enables transient-fault injection with an explicit
-    /// [`ArrivalModel`]. The Bernoulli reference model draws one trial
-    /// every cycle (pinning the clock to per-cycle simulation); the
-    /// statistical-equivalence test uses it as the baseline the
-    /// geometric model is measured against.
-    pub fn enable_fault_injection_with(&mut self, rate: f64, seed: u64, model: ArrivalModel) {
-        let inj = FaultInjector::with_model(rate, self.cfg.cores, seed, model);
+        let inj = FaultInjector::new(rate, self.cfg.cores, seed);
         self.wheel
             .schedule(WakeSource::Fault, inj.next_event(self.cycle));
         self.injector = Some(inj);
@@ -758,14 +740,9 @@ impl System {
         c.set_context(ctx);
         c.set_coherent(true);
         c.set_gate(None);
-        c.set_store_filter(if with_pab {
-            Filter::Pab(PabPort::new(
-                Rc::clone(&self.pabs[core.index()]),
-                self.layout,
-            ))
-        } else {
-            Filter::None
-        });
+        c.set_store_filter(
+            with_pab.then(|| PabPort::new(Rc::clone(&self.pabs[core.index()]), self.layout)),
+        );
         c.stall_until(ready_at);
         let i = self.vcpu_index(vcpu);
         self.vcpus[i].assignment = Assignment::Solo(core);
@@ -787,8 +764,8 @@ impl System {
         let (left, right) = self.cores.split_at_mut(mc);
         let vocal = &mut left[vc];
         let mute = &mut right[0];
-        vocal.set_store_filter(Filter::None);
-        mute.set_store_filter(Filter::None);
+        vocal.set_store_filter(None);
+        mute.set_store_filter(None);
         let mut pair = DmrPair::couple(vocal, mute, ctx, &self.cfg.reunion);
         pair.set_tracer(self.tracer.clone());
         pair.set_profiler(self.profiler.clone());
@@ -847,7 +824,7 @@ impl System {
         let ctx = self.cores[core.index()]
             .take_context(now)
             .expect("core is busy");
-        self.cores[core.index()].set_store_filter(Filter::None);
+        self.cores[core.index()].set_store_filter(None);
         let vcpu = self
             .vcpus
             .iter()
@@ -1673,7 +1650,7 @@ impl System {
     /// registers the earliest cycle its conditions could hold, and
     /// timeslice/sample boundaries sit in their wheel slots.
     fn fast_forward(&self, now: Cycle, min_wake: Cycle) -> Cycle {
-        if !self.skip_enabled || !self.wheel_enabled || min_wake <= now + 1 {
+        if !self.skip_enabled || min_wake <= now + 1 {
             return now + 1;
         }
         self.wheel.next_event(now + 1, min_wake)

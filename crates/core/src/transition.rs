@@ -272,16 +272,6 @@ impl TransitionEngine {
             };
             done = done.max(self.load_state(mem, core, vcpu, 0, start));
         }
-        if std::env::var_os("MMM_DEBUG_TRANS").is_some() {
-            eprintln!(
-                "leave: now={now} saved=({},{}) flushed_to={} done={} (+{})",
-                vocal_saved - now,
-                mute_saved - now,
-                mute_ready - now,
-                done - now,
-                done - vocal_saved.max(mute_ready),
-            );
-        }
         self.stats.push_leave(done - now);
         done
     }

@@ -14,7 +14,7 @@
 //!   synchronous latency answer;
 //! * instructions leave the window in order at up to `width` per
 //!   cycle, once executed *and* (under Reunion) released by the
-//!   [`CommitGate`];
+//!   [`PairGate`];
 //! * under SC a store must additionally hold exclusive ownership and
 //!   complete its L2 write-through before it can leave the window —
 //!   the pressure the paper identifies as Reunion's largest overhead
@@ -30,8 +30,8 @@ use mmm_workload::{MicroOp, OpClass, Privilege};
 use std::collections::VecDeque;
 
 use crate::context::ExecContext;
-use crate::filter::Filter;
-use crate::gate::{CommitGate, Gate};
+use crate::filter::PabPort;
+use crate::gate::PairGate;
 use crate::phase::PhaseTracker;
 use crate::stats::CoreStats;
 use crate::tlb::Tlb;
@@ -120,8 +120,8 @@ pub struct Core {
 
     // Role configuration (set by the scheduler / DMR layer).
     coherent: bool,
-    gate: Option<Gate>,
-    store_filter: Filter,
+    gate: Option<PairGate>,
+    store_filter: Option<PabPort>,
     trap_enter: bool,
     trap_exit: bool,
     phase_tracker: Option<PhaseTracker>,
@@ -181,7 +181,7 @@ impl Core {
             sb_drain_cycles: 3,
             coherent: true,
             gate: None,
-            store_filter: Filter::None,
+            store_filter: None,
             trap_enter: false,
             trap_exit: false,
             phase_tracker: None,
@@ -294,28 +294,16 @@ impl Core {
     }
 
     /// Installs (or removes) the Reunion commit gate.
-    pub fn set_gate(&mut self, gate: Option<Box<dyn CommitGate>>) {
-        self.gate = gate.map(Gate::Dyn);
-        self.wake_now();
-    }
-
-    /// Installs a devirtualized gate variant directly (the pair
-    /// coupling path).
-    pub fn set_gate_kind(&mut self, gate: Option<Gate>) {
+    pub fn set_gate(&mut self, gate: Option<PairGate>) {
         self.gate = gate;
         self.wake_now();
     }
 
     /// Installs (or removes) the store filter — the PAB's hook into
     /// the store write-through path (performance mode only).
-    pub fn set_store_filter(&mut self, filter: Filter) {
+    pub fn set_store_filter(&mut self, filter: Option<PabPort>) {
         self.store_filter = filter;
         self.wake_now();
-    }
-
-    /// Whether a store filter is installed.
-    pub fn has_store_filter(&self) -> bool {
-        self.store_filter.is_some()
     }
 
     /// Enables user/OS phase-duration tracking (Table 2).
@@ -612,6 +600,16 @@ impl Core {
         }
     }
 
+    /// Cycle at which a store to `line` may write the L2: `now` when
+    /// no store filter is installed, else the PAB's answer.
+    #[inline]
+    fn filter_store(&mut self, line: LineAddr, now: Cycle, mem: &mut MemorySystem) -> Cycle {
+        match self.store_filter.as_mut() {
+            None => now,
+            Some(p) => p.check(self.id, line, now, mem),
+        }
+    }
+
     /// Commits up to `width` instructions in order.
     ///
     /// Returns `(wake, check_wait)`: the earliest cycle at which this
@@ -676,7 +674,7 @@ impl Core {
                             // PAB re-validation before the L2 write
                             // (performance mode only).
                             if !head.filter_done {
-                                let ok_at = self.store_filter.check(self.id, line, now, mem);
+                                let ok_at = self.filter_store(line, now, mem);
                                 let slot = self.window.front_mut().expect("head exists");
                                 slot.filter_done = true;
                                 if ok_at > now {
@@ -712,7 +710,7 @@ impl Core {
                         }
                         let line = head.op.data_addr.expect("store has an address").line();
                         if !head.filter_done {
-                            let ok_at = self.store_filter.check(self.id, line, now, mem);
+                            let ok_at = self.filter_store(line, now, mem);
                             let slot = self.window.front_mut().expect("head exists");
                             slot.filter_done = true;
                             if ok_at > now {
@@ -1007,7 +1005,6 @@ impl Core {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gate::testing::FixedDelayGate;
     use mmm_types::VmId;
     use mmm_workload::{Benchmark, OpStream};
 
@@ -1062,30 +1059,6 @@ mod tests {
         run(&mut b, &mut mem_b, 50_000);
         assert_eq!(a.stats().commits(), b.stats().commits());
         assert_eq!(a.stats().commits_user, b.stats().commits_user);
-    }
-
-    #[test]
-    fn gate_delay_reduces_ipc() {
-        let (mut free, mut mem_a) = machine();
-        free.set_context(ctx(3));
-        run(&mut free, &mut mem_a, 100_000);
-
-        let (mut gated, mut mem_b) = machine();
-        gated.set_context(ctx(3));
-        gated.set_gate(Some(Box::new(FixedDelayGate {
-            delay: 20,
-            si_delay: 20,
-            ..Default::default()
-        })));
-        run(&mut gated, &mut mem_b, 100_000);
-
-        assert!(
-            gated.stats().commits() < free.stats().commits(),
-            "check delay must cost throughput: {} !< {}",
-            gated.stats().commits(),
-            free.stats().commits()
-        );
-        assert!(gated.stats().check_wait_cycles > 0);
     }
 
     #[test]
@@ -1210,63 +1183,38 @@ mod tests {
 
     #[test]
     fn store_filter_delay_slows_commits() {
-        use crate::filter::StoreFilter;
-        use mmm_types::LineAddr;
-
-        struct SlowFilter;
-        impl StoreFilter for SlowFilter {
-            fn check(
-                &mut self,
-                _core: CoreId,
-                _line: LineAddr,
-                now: Cycle,
-                _mem: &mut MemorySystem,
-            ) -> Cycle {
-                now + 25
-            }
-        }
+        use crate::pab::Pab;
+        use mmm_types::config::{PabConfig, PabLookup};
+        use mmm_workload::AddressLayout;
+        use std::cell::RefCell;
+        use std::rc::Rc;
 
         let (mut plain, mut mem_a) = machine();
         plain.set_context(ctx(6));
         run(&mut plain, &mut mem_a, 100_000);
 
+        // A serial-lookup PAB delays every store write-through by its
+        // lookup latency, on top of the PAT-line fetch on a miss.
+        let pab = Rc::new(RefCell::new(Pab::new(PabConfig {
+            lookup: PabLookup::Serial,
+            serial_latency: 25,
+            ..PabConfig::default()
+        })));
         let (mut filtered, mut mem_b) = machine();
         filtered.set_context(ctx(6));
-        filtered.set_store_filter(crate::filter::Filter::Dyn(Box::new(SlowFilter)));
+        filtered.set_store_filter(Some(PabPort::new(Rc::clone(&pab), AddressLayout::new())));
         run(&mut filtered, &mut mem_b, 100_000);
 
         assert!(
             filtered.stats().commits() < plain.stats().commits(),
-            "a 25-cycle store filter must cost throughput: {} !< {}",
+            "a 25-cycle serial PAB must cost throughput: {} !< {}",
             filtered.stats().commits(),
             plain.stats().commits()
         );
         assert!(filtered.stats().stores > 0, "stores were exercised");
-    }
-
-    #[test]
-    fn unprotected_commit_accounting_follows_the_gate() {
-        let (mut core, mut mem) = machine();
-        core.set_context(ctx(7));
-        run(&mut core, &mut mem, 30_000);
-        // No gate: everything unprotected.
-        assert_eq!(core.stats().commits_unprotected, core.stats().commits());
-        // Install a permissive gate: subsequent commits are covered.
-        // (Squash first: in-flight ops were never published to the
-        // new gate and could not be released by it.)
-        core.squash(30_000);
-        let before = core.stats().commits();
-        core.set_gate(Some(Box::new(FixedDelayGate::default())));
-        for now in 30_000..60_000 {
-            core.tick(now, &mut mem);
-        }
-        let covered = core.stats().commits() - before;
-        assert!(covered > 0);
-        assert_eq!(
-            core.stats().commits_unprotected,
-            before,
-            "gated commits must not count as unprotected"
-        );
+        let stats = pab.borrow().stats().clone();
+        assert!(stats.lookups > 0 && stats.hits > 0, "{stats:?}");
+        assert!(stats.lookups <= filtered.stats().stores);
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //!
 //! A core running in performance mode must have every store
 //! write-through re-validated outside the core before it may write the
-//! L2 (paper §3.4.1). Each store consults the installed filter at
+//! L2 (paper §3.4.1). Each store consults the core's [`PabPort`] at
 //! commit time and is delayed until the returned cycle (PAB serial
 //! lookup, or a PAB miss fetching its PAT line through the cache
-//! hierarchy). Reliable-mode cores have no filter ("when in reliable
+//! hierarchy). Reliable-mode cores have no port ("when in reliable
 //! mode, the PAB is not used").
 //!
 //! Permission *verdicts* are not routed through the filter: the
@@ -25,54 +25,6 @@ use mmm_workload::AddressLayout;
 
 use crate::pab::Pab;
 
-/// Interface between a core and an arbitrary store-permission
-/// re-validation mechanism (unit tests, experiments).
-pub trait StoreFilter {
-    /// Called when a store is about to write through to the L2.
-    /// Returns the cycle at which the write may proceed (equal to
-    /// `now` when the check is free, later for serial lookups or PAB
-    /// misses).
-    fn check(&mut self, core: CoreId, line: LineAddr, now: Cycle, mem: &mut MemorySystem) -> Cycle;
-}
-
-/// A core's store filter, devirtualized for the store-commit hot path.
-///
-/// The PAB-backed filter is the only production implementation and is
-/// a concrete variant (no virtual dispatch per store); arbitrary
-/// [`StoreFilter`] implementations ride in the boxed variant.
-pub enum Filter {
-    /// No re-validation: reliable-mode and DMR cores.
-    None,
-    /// Performance mode: every store past this core's PAB.
-    Pab(PabPort),
-    /// Any custom [`StoreFilter`] implementation.
-    Dyn(Box<dyn StoreFilter>),
-}
-
-impl Filter {
-    /// Whether any filter is installed.
-    pub fn is_some(&self) -> bool {
-        !matches!(self, Filter::None)
-    }
-
-    /// Cycle at which a store to `line` may write the L2 (`now` when
-    /// no filter is installed or the check is free).
-    #[inline]
-    pub fn check(
-        &mut self,
-        core: CoreId,
-        line: LineAddr,
-        now: Cycle,
-        mem: &mut MemorySystem,
-    ) -> Cycle {
-        match self {
-            Filter::None => now,
-            Filter::Pab(p) => p.check(core, line, now, mem),
-            Filter::Dyn(f) => f.check(core, line, now, mem),
-        }
-    }
-}
-
 /// A performance-mode core's port to its PAB: maps each stored-to
 /// line to the PAT backing line covering its page and times the PAB
 /// lookup. One shared-handle borrow per store.
@@ -87,7 +39,17 @@ impl PabPort {
         Self { pab, layout }
     }
 
-    fn check(&mut self, core: CoreId, line: LineAddr, now: Cycle, mem: &mut MemorySystem) -> Cycle {
+    /// Called when a store to `line` is about to write through to the
+    /// L2. Returns the cycle at which the write may proceed (equal to
+    /// `now` when the lookup is free, later for serial lookups or PAB
+    /// misses).
+    pub fn check(
+        &mut self,
+        core: CoreId,
+        line: LineAddr,
+        now: Cycle,
+        mem: &mut MemorySystem,
+    ) -> Cycle {
         let backing = self.layout.pat_line_for(line.page());
         self.pab.borrow_mut().filter_store(core, backing, mem, now)
     }

@@ -3,11 +3,11 @@
 //! When a core operates as half of a DMR pair, every instruction must
 //! wait in the Check stage until its fingerprint block has been
 //! exchanged with and validated against the partner core (paper
-//! §3.2). The core model stays agnostic of the mechanism: it publishes
-//! each dispatched op's execution-completion time and observed load
-//! version, and later asks the gate when a given sequence number may
-//! commit. `mmm-reunion` provides the real pair-coupled
-//! implementation; performance-mode cores have no gate at all.
+//! §3.2). The core publishes each dispatched op's execution-completion
+//! time and observed load version to its [`PairGate`], and later asks
+//! the gate whether a given sequence number may commit.
+//! `mmm-reunion` couples two cores through one shared
+//! [`PairChannel`]; performance-mode cores have no gate at all.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -16,124 +16,6 @@ use mmm_mem::VersionToken;
 use mmm_types::{Cycle, LineAddr};
 
 use crate::channel::{PairChannel, Side};
-
-/// Interface between a core and its (possible) Check stage.
-pub trait CommitGate {
-    /// Reports a dispatched op: its sequence number, the cycle its
-    /// execution completes, and — for loads — the `(line, version)` it
-    /// observed, which is the input-incoherence-sensitive part of the
-    /// fingerprint.
-    fn on_dispatch(
-        &mut self,
-        seq: u64,
-        exec_done: Cycle,
-        load_obs: Option<(LineAddr, VersionToken)>,
-    );
-
-    /// Earliest cycle at which op `seq` may commit, or `None` if the
-    /// partner's fingerprint for the containing block has not arrived
-    /// yet (the op waits in Check).
-    fn commit_time(&mut self, seq: u64, now: Cycle) -> Option<Cycle>;
-
-    /// Extra fetch-stall cycles after a serializing instruction
-    /// commits: under Reunion the SI must be validated before younger
-    /// instructions may enter the pipeline (§5.1).
-    fn si_resume_delay(&self) -> u32;
-
-    /// Informs the gate that the core squashed all ops with sequence
-    /// numbers ≥ `from_seq` (pipeline flush at a mode switch); their
-    /// fingerprints will be re-published.
-    fn on_squash(&mut self, from_seq: u64);
-}
-
-/// A core's commit gate, devirtualized for the commit hot path.
-///
-/// The pair-coupled Reunion gate is by far the common case and is a
-/// concrete variant (no virtual dispatch per commit poll); arbitrary
-/// [`CommitGate`] implementations (unit tests, experiments) ride in
-/// the boxed variant.
-#[allow(clippy::large_enum_variant)] // one Gate per core; the Pair variant IS the fast path
-pub enum Gate {
-    /// One side of a Reunion pair, backed by the shared channel.
-    Pair(PairGate),
-    /// Any custom [`CommitGate`] implementation.
-    Dyn(Box<dyn CommitGate>),
-}
-
-impl Gate {
-    /// Reports a dispatched op to the Check stage.
-    pub fn on_dispatch(
-        &mut self,
-        seq: u64,
-        exec_done: Cycle,
-        load_obs: Option<(LineAddr, VersionToken)>,
-    ) {
-        match self {
-            Gate::Pair(g) => {
-                // Buffered: nothing reads the channel between a core's
-                // dispatches and the end of its tick, so one borrow per
-                // tick ([`Gate::flush`]) publishes the whole burst.
-                if g.pending_len as usize == g.pending.len() {
-                    g.flush_pending();
-                }
-                g.pending[g.pending_len as usize] = (seq, exec_done, load_obs);
-                g.pending_len += 1;
-            }
-            Gate::Dyn(g) => g.on_dispatch(seq, exec_done, load_obs),
-        }
-    }
-
-    /// Publishes any buffered dispatches. The owning core calls this
-    /// at the end of every tick's dispatch stage, before any other
-    /// agent can observe the channel.
-    pub fn flush(&mut self) {
-        if let Gate::Pair(g) = self {
-            if g.pending_len > 0 {
-                g.flush_pending();
-            }
-        }
-    }
-
-    /// Whether op `seq` may commit at `now`.
-    pub fn released(&mut self, seq: u64, now: Cycle) -> bool {
-        match self {
-            Gate::Pair(g) => g.released(seq, now),
-            Gate::Dyn(g) => matches!(g.commit_time(seq, now), Some(t) if t <= now),
-        }
-    }
-
-    /// Lower bound on the next cycle at which a currently-held op
-    /// could be released, from the [`PairGate`] hold cache. Zero when
-    /// no bound is cached (a `Dyn` gate must be polled every cycle —
-    /// its release times carry no monotonicity contract).
-    pub fn hold_until(&self) -> Cycle {
-        match self {
-            Gate::Pair(g) => g.hold.map(|(_, t)| t).unwrap_or(0),
-            Gate::Dyn(_) => 0,
-        }
-    }
-
-    /// Extra fetch-stall cycles after a serializing instruction
-    /// commits.
-    pub fn si_resume_delay(&self) -> u32 {
-        match self {
-            Gate::Pair(g) => g.channel.borrow().si_resume_delay(),
-            Gate::Dyn(g) => g.si_resume_delay(),
-        }
-    }
-
-    /// Forwards a pipeline squash.
-    pub fn on_squash(&mut self, from_seq: u64) {
-        match self {
-            Gate::Pair(g) => {
-                g.hold = None;
-                g.grant = (Cycle::MAX, 0);
-                g.channel.borrow_mut().on_squash(from_seq);
-            }
-            Gate::Dyn(g) => g.on_squash(from_seq),
-        }
-    }
-}
 
 /// A dispatch report not yet pushed to the channel: `(seq, exec-done
 /// cycle, observed load version)`.
@@ -156,7 +38,7 @@ pub struct PairGate {
     /// `(seq, until)` — the head seq cannot commit before `until`.
     hold: Option<(u64, Cycle)>,
     /// Dispatches not yet pushed to the channel (see
-    /// [`Gate::on_dispatch`]).
+    /// [`PairGate::on_dispatch`]).
     pending: [PendingPublish; 8],
     /// Number of live entries in `pending`.
     pending_len: u8,
@@ -186,6 +68,36 @@ impl PairGate {
         }
     }
 
+    /// Reports a dispatched op to the Check stage: its sequence
+    /// number, the cycle its execution completes, and — for loads —
+    /// the `(line, version)` it observed, which is the
+    /// input-incoherence-sensitive part of the fingerprint.
+    ///
+    /// Buffered: nothing reads the channel between a core's dispatches
+    /// and the end of its tick, so one borrow per tick
+    /// ([`PairGate::flush`]) publishes the whole burst.
+    pub(crate) fn on_dispatch(
+        &mut self,
+        seq: u64,
+        exec_done: Cycle,
+        load_obs: Option<(LineAddr, VersionToken)>,
+    ) {
+        if self.pending_len as usize == self.pending.len() {
+            self.flush_pending();
+        }
+        self.pending[self.pending_len as usize] = (seq, exec_done, load_obs);
+        self.pending_len += 1;
+    }
+
+    /// Publishes any buffered dispatches. The owning core calls this
+    /// at the end of every tick's dispatch stage, before any other
+    /// agent can observe the channel.
+    pub(crate) fn flush(&mut self) {
+        if self.pending_len > 0 {
+            self.flush_pending();
+        }
+    }
+
     fn flush_pending(&mut self) {
         let mut ch = self.channel.borrow_mut();
         for &(seq, done, obs) in &self.pending[..self.pending_len as usize] {
@@ -194,7 +106,8 @@ impl PairGate {
         self.pending_len = 0;
     }
 
-    fn released(&mut self, seq: u64, now: Cycle) -> bool {
+    /// Whether op `seq` may commit at `now`.
+    pub(crate) fn released(&mut self, seq: u64, now: Cycle) -> bool {
         if now == self.grant.0 && seq <= self.grant.1 {
             return true;
         }
@@ -226,44 +139,27 @@ impl PairGate {
             }
         }
     }
-}
 
-#[cfg(test)]
-pub(crate) mod testing {
-    use super::*;
-
-    /// A gate that releases every op `delay` cycles after its
-    /// execution completes — a stand-in for a perfectly synchronized
-    /// partner. Used by core unit tests.
-    #[derive(Debug, Default)]
-    pub struct FixedDelayGate {
-        pub delay: u32,
-        pub si_delay: u32,
-        pub published: Vec<(u64, Cycle)>,
-        pub exec_done: std::collections::HashMap<u64, Cycle>,
+    /// Lower bound on the next cycle at which a currently-held op
+    /// could be released, from the hold cache (zero when no bound is
+    /// cached).
+    pub(crate) fn hold_until(&self) -> Cycle {
+        self.hold.map(|(_, t)| t).unwrap_or(0)
     }
 
-    impl CommitGate for FixedDelayGate {
-        fn on_dispatch(
-            &mut self,
-            seq: u64,
-            exec_done: Cycle,
-            _load_obs: Option<(LineAddr, VersionToken)>,
-        ) {
-            self.published.push((seq, exec_done));
-            self.exec_done.insert(seq, exec_done);
-        }
+    /// Extra fetch-stall cycles after a serializing instruction
+    /// commits: under Reunion the SI must be validated before younger
+    /// instructions may enter the pipeline (§5.1).
+    pub(crate) fn si_resume_delay(&self) -> u32 {
+        self.channel.borrow().si_resume_delay()
+    }
 
-        fn commit_time(&mut self, seq: u64, _now: Cycle) -> Option<Cycle> {
-            self.exec_done.get(&seq).map(|&d| d + self.delay as Cycle)
-        }
-
-        fn si_resume_delay(&self) -> u32 {
-            self.si_delay
-        }
-
-        fn on_squash(&mut self, from_seq: u64) {
-            self.exec_done.retain(|&s, _| s < from_seq);
-        }
+    /// Informs the gate that the core squashed all ops with sequence
+    /// numbers ≥ `from_seq` (pipeline flush at a mode switch); their
+    /// fingerprints will be re-published.
+    pub(crate) fn on_squash(&mut self, from_seq: u64) {
+        self.hold = None;
+        self.grant = (Cycle::MAX, 0);
+        self.channel.borrow_mut().on_squash(from_seq);
     }
 }

@@ -11,7 +11,7 @@
 //! coherently (vocal / performance mode) or incoherently (mute), and
 //! whether commits must pass Reunion's fingerprint check, is injected
 //! by the `mmm-reunion` and `mmm-core` crates through
-//! [`gate::CommitGate`] and [`core::Core::set_coherent`]. This keeps
+//! [`core::Core::set_gate`] and [`core::Core::set_coherent`]. This keeps
 //! the DMR machinery in one place and lets the same core model serve
 //! every configuration in the paper's evaluation.
 
@@ -31,8 +31,8 @@ pub mod tlb;
 pub use channel::{PairChannel, PairStats, Side};
 pub use context::ExecContext;
 pub use core::{Boundary, Core};
-pub use filter::{Filter, PabPort, StoreFilter};
-pub use gate::{CommitGate, Gate, PairGate};
+pub use filter::PabPort;
+pub use gate::PairGate;
 pub use pab::{Pab, PabStats};
 pub use phase::PhaseTracker;
 pub use stats::CoreStats;

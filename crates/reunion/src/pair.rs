@@ -16,7 +16,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use mmm_cpu::{Core, ExecContext, Gate, PairGate};
+use mmm_cpu::{Core, ExecContext, PairGate};
 use mmm_mem::MemorySystem;
 use mmm_trace::{Event, Forensics, ProfPhase, Profiler, Tracer};
 use mmm_types::config::ReunionConfig;
@@ -56,16 +56,10 @@ impl DmrPair {
         let mute_ctx = ctx.fork();
         vocal.set_context(ctx);
         vocal.set_coherent(true);
-        vocal.set_gate_kind(Some(Gate::Pair(PairGate::new(
-            Rc::clone(&channel),
-            Side::Vocal,
-        ))));
+        vocal.set_gate(Some(PairGate::new(Rc::clone(&channel), Side::Vocal)));
         mute.set_context(mute_ctx);
         mute.set_coherent(false);
-        mute.set_gate_kind(Some(Gate::Pair(PairGate::new(
-            Rc::clone(&channel),
-            Side::Mute,
-        ))));
+        mute.set_gate(Some(PairGate::new(Rc::clone(&channel), Side::Mute)));
         let dirty = channel.borrow().service_flag();
         DmrPair {
             vocal: vocal.id(),
@@ -245,6 +239,9 @@ mod tests {
         // of slack.
         assert!((v as i64 - m as i64).unsigned_abs() <= 256, "v={v} m={m}");
         assert!(pair.stats().ops_compared > 5_000);
+        // Every commit of a coupled core passed the Check stage.
+        assert_eq!(vocal.stats().commits_unprotected, 0);
+        assert_eq!(mute.stats().commits_unprotected, 0);
     }
 
     #[test]
@@ -335,18 +332,26 @@ mod tests {
         );
         run_pair(&mut vocal, &mut mute, &pair, &mut mem, 0, 50_000);
         let commits = vocal.stats().commits();
+        assert_eq!(vocal.stats().commits_unprotected, 0);
         let ctx = pair.decouple(&mut vocal, &mut mute, 50_000);
         assert_eq!(ctx.commits(), commits);
+        assert_eq!(ctx.unprotected_commits, 0);
         assert!(!vocal.is_busy() && !mute.is_busy());
         assert!(mute.coherent(), "mute rejoins the coherent world");
         assert!(!vocal.has_gate() && !mute.has_gate());
-        // The context can go run solo (performance mode).
-        let mut perf = Core::new(CoreId(7), &cfg);
-        perf.set_context(ctx);
+        // The context can go run solo (performance mode) on the
+        // ungated former vocal: every commit from here on is
+        // unprotected.
+        vocal.set_context(ctx);
         for now in 50_000..80_000 {
-            perf.tick(now, &mut mem);
+            vocal.tick(now, &mut mem);
         }
-        assert!(perf.stats().commits() > 0, "execution resumes solo");
+        let solo = vocal.stats().commits() - commits;
+        assert!(solo > 0, "execution resumes solo");
+        assert_eq!(vocal.stats().commits_unprotected, solo);
+        let ctx = vocal.context().expect("context installed");
+        assert_eq!(ctx.unprotected_commits, solo);
+        assert_eq!(ctx.commits(), commits + solo);
     }
 
     #[test]

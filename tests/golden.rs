@@ -18,11 +18,27 @@
 use mixed_mode_multicore::mmm::{MixedPolicy, System, Workload};
 use mixed_mode_multicore::prelude::*;
 
+/// The pinned `(user, os)` commit counts of one run. The run is made
+/// twice, with cycle skipping on and off, and the two full reports
+/// must be identical before the pin is read: every pin also holds
+/// when every cycle is ticked.
 fn commits(w: Workload, seed: u64, warmup: u64, measure: u64, timeslice: u64) -> (u64, u64) {
     let mut cfg = SystemConfig::default();
     cfg.virt.timeslice_cycles = timeslice;
-    let mut sys = System::new(&cfg, w, seed).expect("valid workload");
-    let r = sys.run_measured(warmup, measure);
+    let run = |skipping: bool| {
+        let mut sys = System::new(&cfg, w, seed).expect("valid workload");
+        sys.set_cycle_skipping(skipping);
+        let mut r = sys.run_measured(warmup, measure);
+        r.wall_seconds = 0.0;
+        r
+    };
+    let r = run(true);
+    assert_eq!(
+        run(false).to_json(),
+        r.to_json(),
+        "{}: ticking every cycle must not change the report",
+        w.name()
+    );
     (
         r.total_user_commits(),
         r.vcpus.iter().map(|v| v.os_commits).sum(),

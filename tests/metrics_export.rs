@@ -28,16 +28,33 @@ const INTERVAL: u64 = 10_000;
 const HORIZON: u64 = 60_000;
 
 /// The fig5 reference run with the flight recorder attached: every
-/// core busy under Reunion DMR, six sampling boundaries.
+/// core busy under Reunion DMR, six sampling boundaries. The run is
+/// made with cycle skipping on and off; the two series, traces and
+/// reports must be identical.
 fn build() -> (System, MetricsSeries) {
     let cfg = SystemConfig::default();
-    let mut sys = System::new(&cfg, Workload::ReunionDmr(Benchmark::Oltp), 1)
-        .expect("golden metrics system builds");
-    sys.attach_tracer(Tracer::ring(1 << 14));
-    sys.attach_sampler(Sampler::every(INTERVAL));
-    sys.run(HORIZON);
-    let series = sys.sampler().series().expect("sampler attached");
-    (sys, series)
+    let run = |skipping: bool| {
+        let mut sys = System::new(&cfg, Workload::ReunionDmr(Benchmark::Oltp), 1)
+            .expect("golden metrics system builds");
+        sys.set_cycle_skipping(skipping);
+        sys.attach_tracer(Tracer::ring(1 << 14));
+        sys.attach_sampler(Sampler::every(INTERVAL));
+        sys.run(HORIZON);
+        let series = sys.sampler().series().expect("sampler attached");
+        (sys, series)
+    };
+    let output = |(sys, series): &(System, MetricsSeries)| {
+        (
+            chrome_trace_with_counters(&sys.tracer().snapshot(), 16, sys.now(), series),
+            sys.report(HORIZON).to_json(),
+        )
+    };
+    let (skipped, ticked) = (run(true), run(false));
+    assert!(
+        ticked.1 == skipped.1 && output(&ticked) == output(&skipped),
+        "ticking every cycle must not change the series, the trace or the report"
+    );
+    skipped
 }
 
 #[test]

@@ -23,22 +23,32 @@ const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/trace_gold
 
 /// A short consolidated-server run with fast gang switching, so the
 /// trace exercises installs, evictions, mode transitions, SI stalls,
-/// and phase boundaries inside a small horizon.
+/// and phase boundaries inside a small horizon. The run is made with
+/// cycle skipping on and off, and the two traces must be identical.
 fn build_trace() -> String {
     let mut cfg = SystemConfig::default();
     cfg.virt.timeslice_cycles = 5_000;
-    let mut sys = System::new(
-        &cfg,
-        Workload::Consolidated {
-            bench: Benchmark::Oltp,
-            policy: MixedPolicy::MmmIpc,
-        },
-        1,
-    )
-    .expect("golden trace system builds");
-    sys.attach_tracer(Tracer::ring(1 << 14));
-    sys.run(12_000);
-    chrome_trace(&sys.tracer().snapshot(), 16, sys.now())
+    let run = |skipping: bool| {
+        let mut sys = System::new(
+            &cfg,
+            Workload::Consolidated {
+                bench: Benchmark::Oltp,
+                policy: MixedPolicy::MmmIpc,
+            },
+            1,
+        )
+        .expect("golden trace system builds");
+        sys.set_cycle_skipping(skipping);
+        sys.attach_tracer(Tracer::ring(1 << 14));
+        sys.run(12_000);
+        chrome_trace(&sys.tracer().snapshot(), 16, sys.now())
+    };
+    let trace = run(true);
+    assert!(
+        run(false) == trace,
+        "ticking every cycle must not change the trace"
+    );
+    trace
 }
 
 #[test]
