@@ -22,7 +22,7 @@ use mmm_trace::{
 use mmm_types::ids::{PAGE_BYTES, PAGE_SHIFT};
 use mmm_types::{CoreId, Cycle, PageAddr, Result, SystemConfig, VcpuId, VmId};
 use mmm_workload::layout::{PAT_BASE, SCRATCHPAD_BASE};
-use mmm_workload::{AddressLayout, OpStream};
+use mmm_workload::{AddressLayout, Generator, OpStream};
 
 use crate::fault::{CampaignTelemetry, FaultInjector, FaultSite, FaultStats};
 use crate::mode::RelMode;
@@ -435,6 +435,10 @@ pub struct System {
     /// determinism tests turn it off to prove reports and sampled
     /// series are identical either way.
     skip_enabled: bool,
+    /// The thread generating every VCPU's ops (see
+    /// [`mmm_workload::feed`]). The last field: the contexts, and with
+    /// them the feeds, drop first, then dropping it joins the thread.
+    _generator: Generator,
 }
 
 impl System {
@@ -450,12 +454,17 @@ impl System {
             c.enable_phase_tracking();
         }
         let specs = workload.vcpu_specs(cfg)?;
+        // The streams, and the power-law tables they share, are built
+        // here; only their generation moves to the generator thread.
+        let streams = specs
+            .iter()
+            .map(|s| OpStream::new(s.bench.profile(), s.vm, s.vcpu, seed))
+            .collect();
+        let (generator, feeds) = Generator::spawn(streams)?;
         let vcpus: Vec<Vcpu> = specs
             .iter()
-            .map(|s| {
-                let stream = OpStream::new(s.bench.profile(), s.vm, s.vcpu, seed);
-                Vcpu::new(s.vcpu, s.vm, s.mode, ExecContext::new(stream))
-            })
+            .zip(feeds)
+            .map(|(s, feed)| Vcpu::new(s.vcpu, s.vm, s.mode, ExecContext::from_source(feed.into())))
             .collect();
 
         // System software initializes the PAT: machine-owned regions
@@ -518,6 +527,7 @@ impl System {
             wheel,
             measure_start: 0,
             skip_enabled: true,
+            _generator: generator,
         };
         sys.prewarm_scratchpad();
         sys.install_initial_assignments();
@@ -623,8 +633,8 @@ impl System {
     }
 
     /// Attaches a self-profiler: clones of the handle are distributed
-    /// to every core, every parked and installed context's op source,
-    /// every live DMR pair, and the memory system, so host wall-time
+    /// to every core, every parked and installed context, every live
+    /// DMR pair, and the memory system, so host wall-time
     /// spent in each hot-loop phase is attributed exclusively.
     /// Profiling is purely observational — it reads only the host
     /// clock and never touches simulated state, so reports and

@@ -30,10 +30,16 @@
 //! each other (neither commits without the partner's fingerprint), so
 //! the ring's initial capacity is rarely exceeded; it doubles if a
 //! decoupled survivor drifts further ahead.
+//!
+//! The ring fills from any [`OpSource`]. The contexts of an
+//! `mmm_core::System` read [`OpSource::Feed`]s, whose ops a generator
+//! thread has already produced, so "generating" there is a copy out of
+//! a chunk.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use mmm_trace::{ProfPhase, Profiler};
 use mmm_types::{PhysAddr, VcpuId, VmId};
 use mmm_workload::{MicroOp, OpClass, OpSource, OpStream, Privilege, TraceReplay};
 
@@ -61,9 +67,12 @@ const FILLER: MicroOp = MicroOp {
 
 /// A generator shared by (up to) two fork sides, holding generated
 /// ops in a power-of-two ring indexed by sequence number.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct SharedStream {
     source: OpSource,
+    /// Self-profiler handle; its [`ProfPhase::OpGen`] scope covers
+    /// every `next_ops` call.
+    profiler: Profiler,
     /// Ring slot for seq `q` is `ring[q & mask]`; holds `[floor, next_gen)`.
     ring: Vec<MicroOp>,
     mask: u64,
@@ -80,6 +89,7 @@ impl SharedStream {
     fn new(source: OpSource) -> Self {
         Self {
             source,
+            profiler: Profiler::off(),
             ring: vec![FILLER; RING_CAP],
             mask: RING_CAP as u64 - 1,
             next_gen: 0,
@@ -90,8 +100,10 @@ impl SharedStream {
 
     /// Generates forward until op `want - 1` exists in the ring.
     /// Batched: each pass generates up to the ring headroom in one
-    /// [`OpSource::next_ops`] call (one profiler probe per window, not
-    /// per op).
+    /// [`OpSource::next_ops`] call under one [`ProfPhase::OpGen`]
+    /// probe. For a feed that probe measures the wait for the
+    /// generator thread plus the copy; for an inline stream, the
+    /// generation itself.
     fn generate_to(&mut self, want: u64) {
         while self.next_gen < want {
             if self.next_gen - self.floor >= self.ring.len() as u64 {
@@ -102,6 +114,7 @@ impl SharedStream {
             let mask = self.mask;
             let ring = &mut self.ring;
             let mut q = self.next_gen;
+            let _prof = self.profiler.enter(ProfPhase::OpGen);
             self.source.next_ops(n, |op| {
                 ring[(q & mask) as usize] = op;
                 q += 1;
@@ -150,28 +163,9 @@ pub struct ExecContext {
     pub unprotected_commits: u64,
 }
 
-impl Clone for ExecContext {
-    /// Deep copy: the clone gets an independent generator at the same
-    /// stream position. Only [`ExecContext::fork`] creates contexts
-    /// that share one generator.
-    fn clone(&self) -> Self {
-        ExecContext {
-            stream: Rc::new(RefCell::new(self.stream.borrow().clone())),
-            side: self.side,
-            local: self.local.clone(),
-            local_base: self.local_base,
-            vm: self.vm,
-            vcpu: self.vcpu,
-            seq: self.seq,
-            user_commits: self.user_commits,
-            os_commits: self.os_commits,
-            unprotected_commits: self.unprotected_commits,
-        }
-    }
-}
-
 impl ExecContext {
-    /// Wraps a workload stream as a runnable context.
+    /// Wraps a workload stream as a runnable context that generates
+    /// its ops on the calling thread.
     pub fn new(stream: OpStream) -> Self {
         Self::from_source(stream.into())
     }
@@ -240,11 +234,11 @@ impl ExecContext {
         }
     }
 
-    /// Installs a self-profiler handle on the shared op source, so
+    /// Installs a self-profiler handle on the shared stream, so
     /// generation cost is attributed no matter which fork side
     /// triggers it. Purely observational.
-    pub fn set_profiler(&mut self, profiler: mmm_trace::Profiler) {
-        self.stream.borrow_mut().source.set_profiler(profiler);
+    pub fn set_profiler(&mut self, profiler: Profiler) {
+        self.stream.borrow_mut().profiler = profiler;
     }
 
     /// The VCPU this context belongs to.
@@ -374,22 +368,6 @@ mod tests {
         assert_eq!(seq, 0);
         assert_eq!(peeked, taken);
         assert_eq!(c.seq(), 1);
-    }
-
-    #[test]
-    fn clones_replay_identically() {
-        let mut a = ctx();
-        // Advance, then clone mid-stream.
-        for _ in 0..100 {
-            a.take();
-        }
-        let mut b = a.clone();
-        for _ in 0..1000 {
-            let (sa, oa) = a.take();
-            let (sb, ob) = b.take();
-            assert_eq!(sa, sb);
-            assert_eq!(oa, ob);
-        }
     }
 
     #[test]

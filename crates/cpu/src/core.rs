@@ -222,9 +222,9 @@ impl Core {
     }
 
     /// Installs a self-profiler handle and forwards it to the
-    /// installed context's op source, so host time inside `tick`
-    /// lands in [`ProfPhase::Core`] (with nested memory and op-gen
-    /// work subtracting automatically).
+    /// installed context, so host time inside `tick` lands in
+    /// [`ProfPhase::Core`] (with nested memory and op-gen work
+    /// subtracting automatically).
     pub fn set_profiler(&mut self, profiler: Profiler) {
         if let Some(ctx) = self.context.as_mut() {
             ctx.set_profiler(profiler.clone());

@@ -66,7 +66,9 @@ pub const WAKE_SLOT_LABELS: [&str; WAKE_SLOTS] = ["slice", "sample", "fault", "s
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum ProfPhase {
-    /// Synthetic op generation (`OpStream::next_op`).
+    /// Filling a context's replay ring from its op source: for a feed
+    /// from the generator thread, the wait for that thread plus the
+    /// copy; for an inline stream, the generation itself.
     OpGen = 0,
     /// Core dispatch/commit work inside `Core::tick` (minus nested
     /// phases, which subtract automatically).
@@ -235,24 +237,12 @@ impl Profiler {
     }
 
     /// Enters `phase`, suspending the enclosing phase's clock until
-    /// the returned guard drops. One branch when the profiler is off.
+    /// the returned guard drops. One inlined branch when the profiler
+    /// is off.
     #[inline]
     pub fn enter(&self, phase: ProfPhase) -> ProfScope {
-        let Some(inner) = &self.inner else {
-            return ProfScope { inner: None };
-        };
-        {
-            let mut c = inner.borrow_mut();
-            if !c.running {
-                return ProfScope { inner: None };
-            }
-            c.flush(Instant::now());
-            let prev = c.current;
-            c.stack.push(prev);
-            c.current = phase;
-        }
         ProfScope {
-            inner: Some(Rc::clone(inner)),
+            inner: self.inner.as_ref().and_then(|inner| enter_on(inner, phase)),
         }
     }
 
@@ -332,13 +322,39 @@ pub struct ProfScope {
 }
 
 impl Drop for ProfScope {
+    /// One inlined branch for the guard of an off profiler.
+    #[inline]
     fn drop(&mut self) {
-        let Some(inner) = &self.inner else { return };
-        let mut c = inner.borrow_mut();
-        c.flush(Instant::now());
-        if let Some(prev) = c.stack.pop() {
-            c.current = prev;
+        if let Some(inner) = self.inner.take() {
+            leave(inner);
         }
+    }
+}
+
+/// The enabled half of [`Profiler::enter`], kept out of line so the off
+/// path inlines to one branch: suspends the current phase and returns
+/// the guard's handle, or `None` outside the measured window.
+#[cold]
+fn enter_on(inner: &Rc<RefCell<ProfCore>>, phase: ProfPhase) -> Option<Rc<RefCell<ProfCore>>> {
+    let mut c = inner.borrow_mut();
+    if !c.running {
+        return None;
+    }
+    c.flush(Instant::now());
+    let prev = c.current;
+    c.stack.push(prev);
+    c.current = phase;
+    Some(Rc::clone(inner))
+}
+
+/// The enabled half of [`ProfScope`]'s drop: flushes the scope's phase,
+/// resumes the enclosing one, and releases the guard's handle.
+#[cold]
+fn leave(inner: Rc<RefCell<ProfCore>>) {
+    let mut c = inner.borrow_mut();
+    c.flush(Instant::now());
+    if let Some(prev) = c.stack.pop() {
+        c.current = prev;
     }
 }
 

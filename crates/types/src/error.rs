@@ -18,6 +18,9 @@ pub enum Error {
     /// indicates a bug in the simulator, never in the simulated
     /// software.
     Internal(String),
+    /// The host refused a resource the simulator needs, such as a
+    /// thread.
+    Host(String),
 }
 
 impl Error {
@@ -35,6 +38,11 @@ impl Error {
     pub fn internal(msg: impl Into<String>) -> Self {
         Error::Internal(msg.into())
     }
+
+    /// Creates a [`Error::Host`].
+    pub fn host(msg: impl Into<String>) -> Self {
+        Error::Host(msg.into())
+    }
 }
 
 impl fmt::Display for Error {
@@ -43,6 +51,7 @@ impl fmt::Display for Error {
             Error::Config(m) => write!(f, "configuration error: {m}"),
             Error::Topology(m) => write!(f, "topology error: {m}"),
             Error::Internal(m) => write!(f, "internal simulator error: {m}"),
+            Error::Host(m) => write!(f, "host error: {m}"),
         }
     }
 }
@@ -58,6 +67,7 @@ mod tests {
         assert_eq!(Error::config("bad").to_string(), "configuration error: bad");
         assert_eq!(Error::topology("bad").to_string(), "topology error: bad");
         assert!(Error::internal("x").to_string().contains("internal"));
+        assert_eq!(Error::host("bad").to_string(), "host error: bad");
     }
 
     #[test]

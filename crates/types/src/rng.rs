@@ -47,10 +47,10 @@ fn quarter_round(s: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
     s[b] = (s[b] ^ s[c]).rotate_left(7);
 }
 
-/// One lane-wise ChaCha round over the four row vectors — the same
-/// arithmetic as four quarter-rounds, but phrased as whole-row
-/// operations so the optimizer can keep each row in one SIMD register
-/// instead of juggling scattered indices into a flat state array.
+/// One lane-wise ChaCha round over the four row vectors: the same
+/// arithmetic as four quarter-rounds, phrased as whole-row operations
+/// on `[u32; 4]` rows. The release build compiles it to scalar code;
+/// it does not keep a row in a SIMD register.
 #[inline(always)]
 fn row_round(a: &mut [u32; 4], b: &mut [u32; 4], c: &mut [u32; 4], d: &mut [u32; 4]) {
     for i in 0..4 {

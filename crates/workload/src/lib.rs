@@ -24,6 +24,7 @@
 #![warn(missing_docs)]
 
 pub mod benchmarks;
+pub mod feed;
 pub mod layout;
 pub mod op;
 pub mod profile;
@@ -32,6 +33,7 @@ pub mod stream;
 pub mod trace;
 
 pub use benchmarks::Benchmark;
+pub use feed::{Feed, Generator};
 pub use layout::AddressLayout;
 pub use op::{MicroOp, OpClass, Privilege};
 pub use profile::{PhaseProfile, WorkloadProfile};

@@ -1,4 +1,5 @@
-//! A unified op source: live statistical stream or trace replay.
+//! A unified op source: live statistical stream, generator feed, or
+//! trace replay.
 //!
 //! Cores execute whatever an [`OpSource`] produces, so every machine
 //! configuration can run either generated workloads (the default) or
@@ -6,16 +7,20 @@
 
 use mmm_types::{VcpuId, VmId};
 
+use crate::feed::Feed;
 use crate::op::MicroOp;
 use crate::stream::OpStream;
 use crate::trace::TraceReplay;
 
 /// Where a VCPU's instructions come from.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 #[allow(clippy::large_enum_variant)] // one OpSource per VCPU; size is immaterial
 pub enum OpSource {
-    /// Live statistical generation.
+    /// Live statistical generation on the calling thread.
     Stream(OpStream),
+    /// The same generation, run ahead on a [`crate::feed::Generator`]
+    /// thread.
+    Feed(Feed),
     /// Deterministic replay of a recorded window.
     Replay(TraceReplay),
 }
@@ -26,16 +31,17 @@ impl OpSource {
     pub fn next_op(&mut self) -> MicroOp {
         match self {
             OpSource::Stream(s) => s.next_op(),
+            OpSource::Feed(f) => f.next_op(),
             OpSource::Replay(r) => r.next_op(),
         }
     }
 
-    /// Produces `n` consecutive ops through `sink` — identical to `n`
-    /// [`OpSource::next_op`] calls, but a live stream charges one
-    /// profiler probe for the whole batch.
+    /// Produces `n` consecutive ops through `sink`, identical to `n`
+    /// [`OpSource::next_op`] calls.
     pub fn next_ops(&mut self, n: u64, mut sink: impl FnMut(MicroOp)) {
         match self {
             OpSource::Stream(s) => s.next_ops(n, sink),
+            OpSource::Feed(f) => f.next_ops(n, sink),
             OpSource::Replay(r) => {
                 for _ in 0..n {
                     sink(r.next_op());
@@ -48,6 +54,7 @@ impl OpSource {
     pub fn vm(&self) -> VmId {
         match self {
             OpSource::Stream(s) => s.vm(),
+            OpSource::Feed(f) => f.vm(),
             OpSource::Replay(r) => r.vm(),
         }
     }
@@ -56,16 +63,8 @@ impl OpSource {
     pub fn vcpu(&self) -> VcpuId {
         match self {
             OpSource::Stream(s) => s.vcpu(),
+            OpSource::Feed(f) => f.vcpu(),
             OpSource::Replay(r) => r.vcpu(),
-        }
-    }
-
-    /// Installs a self-profiler handle on the live stream. Replay
-    /// sources do no generation work worth attributing, so they
-    /// ignore the handle.
-    pub fn set_profiler(&mut self, profiler: mmm_trace::Profiler) {
-        if let OpSource::Stream(s) = self {
-            s.set_profiler(profiler);
         }
     }
 }
@@ -73,6 +72,12 @@ impl OpSource {
 impl From<OpStream> for OpSource {
     fn from(s: OpStream) -> Self {
         OpSource::Stream(s)
+    }
+}
+
+impl From<Feed> for OpSource {
+    fn from(f: Feed) -> Self {
+        OpSource::Feed(f)
     }
 }
 
@@ -86,19 +91,25 @@ impl From<TraceReplay> for OpSource {
 mod tests {
     use super::*;
     use crate::benchmarks::Benchmark;
+    use crate::feed::Generator;
     use crate::trace::Trace;
 
     #[test]
-    fn both_sources_expose_identity_and_ops() {
-        let mut s = OpStream::new(Benchmark::Oltp.profile(), VmId(1), VcpuId(2), 5);
-        let trace = Trace::record(&mut s, 100);
-        let mut a: OpSource =
-            OpStream::new(Benchmark::Oltp.profile(), VmId(1), VcpuId(2), 5).into();
+    fn every_source_exposes_identity_and_ops() {
+        let stream = || OpStream::new(Benchmark::Oltp.profile(), VmId(1), VcpuId(2), 5);
+        let trace = Trace::record(&mut stream(), 100);
+        let (_generator, feeds) = Generator::spawn(vec![stream()]).unwrap();
+        let mut a: OpSource = stream().into();
         let mut b: OpSource = trace.replay().into();
-        assert_eq!(a.vm(), b.vm());
-        assert_eq!(a.vcpu(), b.vcpu());
+        let mut c: OpSource = feeds.into_iter().next().unwrap().into();
+        for other in [&b, &c] {
+            assert_eq!(a.vm(), other.vm());
+            assert_eq!(a.vcpu(), other.vcpu());
+        }
         for _ in 0..100 {
-            assert_eq!(a.next_op(), b.next_op(), "replay matches the stream");
+            let op = a.next_op();
+            assert_eq!(op, b.next_op(), "replay matches the stream");
+            assert_eq!(op, c.next_op(), "the feed matches the stream");
         }
     }
 }

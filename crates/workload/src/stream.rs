@@ -17,7 +17,6 @@ use mmm_types::{DetRng, PhysAddr, VcpuId, VmId};
 
 use crate::layout::AddressLayout;
 use crate::op::{MicroOp, OpClass, Privilege};
-use mmm_trace::{ProfPhase, Profiler};
 
 use crate::profile::{PhaseProfile, WorkloadProfile};
 
@@ -108,8 +107,6 @@ pub struct OpStream {
     generated: u64,
     /// Precomputed table-driven samplers for both privilege phases.
     draws: StreamSamplers,
-    /// Self-profiler handle; one branch per op when off.
-    profiler: Profiler,
 }
 
 impl OpStream {
@@ -150,15 +147,7 @@ impl OpStream {
             fetch_cursor: 0,
             generated: 0,
             draws,
-            profiler: Profiler::off(),
         }
-    }
-
-    /// Installs a self-profiler handle so op generation attributes
-    /// its host cost to [`mmm_trace::ProfPhase::OpGen`]. Purely
-    /// observational: the generated op sequence is unchanged.
-    pub fn set_profiler(&mut self, profiler: Profiler) {
-        self.profiler = profiler;
     }
 
     /// The VM this stream belongs to.
@@ -193,27 +182,16 @@ impl OpStream {
         }
     }
 
-    /// Produces the next micro-op.
-    #[inline]
-    pub fn next_op(&mut self) -> MicroOp {
-        let _prof = self.profiler.enter(ProfPhase::OpGen);
-        self.gen_op()
-    }
-
-    /// Produces `n` consecutive ops through `sink` under one profiler
-    /// scope — the batch refill path pays one probe per window instead
-    /// of one per op. The op sequence is identical to `n` calls of
-    /// [`OpStream::next_op`].
+    /// Produces `n` consecutive ops through `sink`, identical to `n`
+    /// calls of [`OpStream::next_op`].
     pub fn next_ops(&mut self, n: u64, mut sink: impl FnMut(MicroOp)) {
-        let _prof = self.profiler.enter(ProfPhase::OpGen);
         for _ in 0..n {
-            sink(self.gen_op());
+            sink(self.next_op());
         }
     }
 
-    /// The generation step itself, shared by the single-op and batch
-    /// entry points.
-    fn gen_op(&mut self) -> MicroOp {
+    /// Produces the next micro-op.
+    pub fn next_op(&mut self) -> MicroOp {
         let mut enters_os = false;
         let mut exits_os = false;
         if self.remaining == 0 {
