@@ -604,13 +604,7 @@ impl Manifest {
     /// digits. Checkpoint records carry it so a resume can prove the
     /// on-disk cells belong to this exact sweep.
     pub fn hash(&self) -> String {
-        let text = self.canonical_json().render();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in text.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        format!("{h:016x}")
+        crate::fnv1a64_hex(self.canonical_json().render().as_bytes())
     }
 }
 

@@ -56,3 +56,24 @@ pub fn banner(what: &str, e: &Experiment) {
 pub fn mean_of(run: &RunResult, f: impl Fn(&mmm_core::SystemReport) -> f64) -> f64 {
     run.metric(f).0
 }
+
+/// FNV-1a 64 of `bytes` as 16 hex digits: the fingerprint that
+/// campaign checkpoints and perf baselines carry.
+pub(crate) fn fnv1a64_hex(bytes: &[u8]) -> String {
+    let h = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    format!("{h:016x}")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::fnv1a64_hex;
+
+    #[test]
+    fn fnv_matches_the_reference_vectors() {
+        assert_eq!(fnv1a64_hex(b""), "cbf29ce484222325");
+        assert_eq!(fnv1a64_hex(b"a"), "af63dc4c8601ec8c");
+        assert_eq!(fnv1a64_hex(b"foobar"), "85944171f73967e8");
+    }
+}

@@ -6,13 +6,17 @@
 //! checked by `scripts/validate_bench.py`, regression-gated in CI by
 //! `mmm-inspect --only sim_cycles_per_sec --direction down`). This
 //! module holds everything the two binaries share: run repetition with
-//! best-of selection, provenance capture (git describe, timestamp,
-//! host), and the JSON emission.
+//! best-of selection, provenance capture (git describe and commit, a
+//! hash of any uncommitted diff, timestamp, host), and the JSON
+//! emission.
 //!
 //! The run is repeated `MMM_PERF_REPS` times (default 3) and the
 //! *fastest* repetition is reported: the simulation itself is
 //! bit-identical across repetitions, so wall-clock spread is pure host
 //! noise and the minimum is the least-contended estimate.
+
+use std::path::Path;
+use std::process::Command;
 
 use mmm_core::{Experiment, Workload};
 use mmm_trace::Json;
@@ -33,34 +37,61 @@ pub struct PerfSpec {
     pub fault_rate: Option<f64>,
 }
 
-/// `git describe --always --dirty`, or `"unknown"` outside a git
-/// checkout.
-fn git_describe() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty", "--tags"])
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
+/// Where a baseline was measured: the commit, and whether and how the
+/// source differed from it.
+#[derive(Debug)]
+struct Provenance {
+    /// `git describe --always --tags`, with `-dirty` appended when the
+    /// source diff is not empty; `"unknown"` outside a git checkout.
+    describe: String,
+    /// `git rev-parse --short HEAD`, pinned separately from the
+    /// describe so provenance survives tag churn; `"unknown"` outside
+    /// a git checkout.
+    commit: String,
+    /// FNV-1a 64 of the source diff as 16 hex digits: which
+    /// uncommitted changes a `-dirty` baseline was measured on. `None`
+    /// on a clean tree or outside a git checkout.
+    diff_fnv: Option<String>,
 }
 
-/// `git rev-parse --short HEAD`, or `"unknown"` outside a git
-/// checkout — the commit the baseline was measured at, pinned
-/// separately from `git describe` so provenance survives tag churn.
-fn git_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
+/// The stdout of `git args` run in `dir`, or `None` if git fails
+/// (outside a checkout, or no git at all).
+fn git(dir: &Path, args: &[&str]) -> Option<Vec<u8>> {
+    Command::new("git")
+        .args(args)
+        .current_dir(dir)
         .output()
         .ok()
         .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+        .map(|o| o.stdout)
+}
+
+/// The provenance of the checkout holding `dir`. The source diff is
+/// `git diff HEAD` of the whole tree except the `BENCH_*.json` files
+/// at its root: the baseline binaries rewrite those themselves, so a
+/// bless run from a clean commit would otherwise stamp every baseline
+/// after the first `-dirty`, with a hash of the earlier ones' output.
+fn provenance(dir: &Path) -> Provenance {
+    let text = |out: Option<Vec<u8>>| {
+        out.and_then(|o| String::from_utf8(o).ok())
+            .map(|s| s.trim().to_string())
+            .filter(|s| !s.is_empty())
+    };
+    let diff = git(
+        dir,
+        &["diff", "HEAD", "--", ":(top)", ":(top,exclude)BENCH_*.json"],
+    )
+    .filter(|d| !d.is_empty());
+    let describe = text(git(dir, &["describe", "--always", "--tags"])).map(|d| match diff {
+        Some(_) => format!("{d}-dirty"),
+        None => d,
+    });
+    Provenance {
+        describe: describe.unwrap_or_else(|| "unknown".to_string()),
+        commit: text(git(dir, &["rev-parse", "--short", "HEAD"]))
+            .unwrap_or_else(|| "unknown".to_string()),
+        diff_fnv: diff.map(|d| crate::fnv1a64_hex(&d)),
+    }
 }
 
 /// Seconds since the Unix epoch at invocation. Host state enters the
@@ -81,7 +112,7 @@ fn host_name() -> String {
             return h.trim().to_string();
         }
     }
-    std::process::Command::new("hostname")
+    Command::new("hostname")
         .output()
         .ok()
         .filter(|o| o.status.success())
@@ -132,6 +163,7 @@ pub fn run_perf_baseline(e: &Experiment, spec: &PerfSpec) -> Result<()> {
         0.0
     };
 
+    let source = provenance(Path::new(env!("CARGO_MANIFEST_DIR")));
     let mut fields = vec![
         ("bench", Json::str(spec.name)),
         ("config", Json::str(report.config)),
@@ -145,8 +177,9 @@ pub fn run_perf_baseline(e: &Experiment, spec: &PerfSpec) -> Result<()> {
             "rep_wall_seconds",
             Json::Arr(walls.iter().map(|&w| Json::F64(w)).collect()),
         ),
-        ("git_describe", Json::str(git_describe())),
-        ("git_commit", Json::str(git_commit())),
+        ("git_describe", Json::str(source.describe)),
+        ("git_commit", Json::str(source.commit)),
+        ("diff_fnv", source.diff_fnv.map_or(Json::Null, Json::str)),
         ("timestamp", Json::U64(unix_timestamp())),
         ("host", Json::str(host_name())),
     ];
@@ -188,4 +221,57 @@ pub fn run_perf_baseline(e: &Experiment, spec: &PerfSpec) -> Result<()> {
         spec.name, cps, report.wall_seconds, spec.name
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Runs git in `dir` with a throwaway identity; panics on failure.
+    fn run_git(dir: &Path, args: &[&str]) {
+        let out = Command::new("git")
+            .args(["-c", "user.name=perf", "-c", "user.email=perf@example.com"])
+            .args(["-c", "commit.gpgsign=false"])
+            .args(args)
+            .current_dir(dir)
+            .output()
+            .expect("git runs");
+        assert!(out.status.success(), "git {args:?}: {out:?}");
+    }
+
+    #[test]
+    fn rewritten_baselines_leave_the_provenance_clean() {
+        let dir = std::env::temp_dir().join(format!("mmm-perf-provenance-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("crate")).unwrap();
+        let write = |path: &str, text: &str| std::fs::write(dir.join(path), text).unwrap();
+        write("crate/lib.rs", "fn a() {}\n");
+        for name in ["hotloop", "faultloop", "singleos"] {
+            write(&format!("BENCH_{name}.json"), "{\"wall_seconds\": 1.0}\n");
+        }
+        run_git(&dir, &["init", "-q"]);
+        run_git(&dir, &["add", "."]);
+        run_git(&dir, &["commit", "-q", "-m", "baselines"]);
+        let clean = provenance(&dir.join("crate"));
+        assert!(!clean.describe.ends_with("-dirty"), "{clean:?}");
+        assert_eq!(clean.diff_fnv, None);
+
+        // A bless run rewrites the baselines one after another; every
+        // one must still be stamped with the clean commit.
+        for name in ["hotloop", "faultloop", "singleos"] {
+            write(&format!("BENCH_{name}.json"), "{\"wall_seconds\": 2.0}\n");
+            let p = provenance(&dir.join("crate"));
+            assert_eq!((p.describe, p.diff_fnv), (clean.describe.clone(), None));
+        }
+
+        // A source change is dirty, and its hash ignores the baselines.
+        write("crate/lib.rs", "fn b() {}\n");
+        let dirty = provenance(&dir.join("crate"));
+        assert_eq!(dirty.describe, format!("{}-dirty", clean.describe));
+        let fnv = dirty.diff_fnv.expect("a dirty tree has a diff hash");
+        assert!(fnv.len() == 16 && fnv.bytes().all(|b| b.is_ascii_hexdigit()));
+        write("BENCH_hotloop.json", "{\"wall_seconds\": 3.0}\n");
+        assert_eq!(provenance(&dir).diff_fnv, Some(fnv));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

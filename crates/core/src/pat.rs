@@ -49,10 +49,29 @@ impl Pat {
     }
 
     /// Marks a contiguous page range (system software marking a VM's
-    /// whole allocation).
+    /// whole allocation): the same bits, and the same groups
+    /// materialized, as [`Pat::set_reliable`] on every page, but a
+    /// word and a map entry at a time.
     pub fn set_range_reliable(&mut self, pages: std::ops::Range<u64>, reliable: bool) {
-        for p in pages {
-            self.set_reliable(PageAddr(p), reliable);
+        let mut page = pages.start;
+        while page < pages.end {
+            let base = page - page % PAGES_PER_PAT_LINE;
+            let end = pages.end.min(base.saturating_add(PAGES_PER_PAT_LINE));
+            let group = self.groups.entry(base / PAGES_PER_PAT_LINE).or_default();
+            // Bits [from, to) of the group, a word at a time.
+            let (mut from, to) = (page - base, end - base);
+            while from < to {
+                let word = (from / 64) as usize;
+                let hi = to.min(from - from % 64 + 64);
+                let mask = (u64::MAX >> (64 - (hi - from))) << (from % 64);
+                if reliable {
+                    group[word] |= mask;
+                } else {
+                    group[word] &= !mask;
+                }
+                from = hi;
+            }
+            page = end;
         }
     }
 
@@ -103,14 +122,41 @@ mod tests {
         assert!(!pat.is_reliable(PageAddr(1000)));
     }
 
+    /// `pat` after marking each range of `ranges` in turn, checked
+    /// against the same ranges marked one page at a time.
+    fn marked_like_single_pages(ranges: &[(std::ops::Range<u64>, bool)]) -> Pat {
+        let (mut pat, mut reference) = (Pat::new(), Pat::new());
+        for (pages, reliable) in ranges {
+            pat.set_range_reliable(pages.clone(), *reliable);
+            for p in pages.clone() {
+                reference.set_reliable(PageAddr(p), *reliable);
+            }
+            assert_eq!(
+                pat.groups, reference.groups,
+                "after {pages:?} -> {reliable}"
+            );
+        }
+        pat
+    }
+
     #[test]
     fn range_marking() {
-        let mut pat = Pat::new();
-        pat.set_range_reliable(5000..5100, true);
+        let pat = marked_like_single_pages(&[(5000..5100, true)]);
         assert!(pat.is_reliable(PageAddr(5000)));
         assert!(pat.is_reliable(PageAddr(5099)));
         assert!(!pat.is_reliable(PageAddr(4999)));
         assert!(!pat.is_reliable(PageAddr(5100)));
+        // Whole groups, mid-word ends, empty ranges, and clearing
+        // sub-ranges of marked ones (which still materializes groups).
+        marked_like_single_pages(&[
+            (1024..4096, true),
+            (1500..1501, false),
+            (2000..3100, false),
+            (7..7, true),
+            (100_037..101_955, true),
+            (100_500..100_700, false),
+            (200_000..200_512, false),
+        ]);
     }
 
     #[test]
@@ -125,6 +171,18 @@ mod tests {
         assert!(!pat.is_reliable(PageAddr(65)));
         assert!(!pat.is_reliable(PageAddr(510)));
         assert!(!pat.is_reliable(PageAddr(514)));
+        // Ranges that start or end on either side of a word or group
+        // boundary, and clear across one.
+        marked_like_single_pages(&[
+            (63..65, true),
+            (64..128, true),
+            (511..513, true),
+            (0..512, true),
+            (65..127, false),
+            (130..1100, true),
+            (448..577, false),
+            (1023..1025, false),
+        ]);
     }
 
     #[test]

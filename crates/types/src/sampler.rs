@@ -30,10 +30,20 @@
 //! `(n, skew)` — the built-in benchmarks use 34 distinct pairs, each
 //! table costing `8n` bytes plus a 16 KiB bucket index (625 KiB at the
 //! largest, OLTP's `n = 80 000`). Domains above 2^20 use the reference
-//! path.
+//! path. Each cache entry is a cell that is filled exactly once: a
+//! thread that asks for a table another thread is building waits for
+//! that build instead of making its own copy. [`build_tables`] fills
+//! the cells a workload stream still lacks on all available host CPUs
+//! before the stream takes its samplers from the cache; a table is a
+//! pure function of `(n, skew)`, so which thread builds it changes no
+//! draw.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+use std::thread;
 
 use crate::rng::{power_law_eval, DetRng, PowerLaw};
 
@@ -133,7 +143,7 @@ impl TableInner {
     /// reference evaluation, and returns it with the number of
     /// [`power_law_eval`] probes made: about 2.5 per index, plus one
     /// `powf` per index for the estimate. OLTP's two `n = 80 000`
-    /// tables take 9–14 ms each on a 2-vCPU Intel Xeon VM.
+    /// tables take 12–17 ms each on a 2-vCPU Intel Xeon VM.
     fn build(n: u64, skew: f64) -> (Self, u64) {
         let (a, inv) = PowerLaw::constants(n, skew);
         let mut probes = 0u64;
@@ -194,15 +204,85 @@ impl TableInner {
     }
 }
 
-/// The process-global table store: one entry per distinct
-/// `(n, skew bits)` parameter pair.
-type TableCache = Mutex<HashMap<(u64, u64), Arc<TableInner>>>;
+/// One cache entry: empty until the first thread to ask for its table
+/// builds it; every other thread asking meanwhile waits for that build.
+type TableCell = Arc<OnceLock<Arc<TableInner>>>;
 
 /// Process-global table cache keyed on `(n, skew bits)`. Streams for
-/// all cores share one table per distinct parameter pair.
-fn cache() -> &'static TableCache {
-    static CACHE: OnceLock<TableCache> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+/// all cores share one table per distinct parameter pair. The lock is
+/// held only to find or insert a cell, never during a build.
+static CACHE: Mutex<BTreeMap<(u64, u64), TableCell>> = Mutex::new(BTreeMap::new());
+
+/// The cache cell of `(n, skew)`, inserting an empty one if the pair
+/// is new.
+fn cell(n: u64, skew: f64) -> TableCell {
+    let mut map = CACHE
+        .lock()
+        .expect("power-law table cache poisoned: a thread panicked while holding it");
+    Arc::clone(map.entry((n, skew.to_bits())).or_default())
+}
+
+/// The table in `cell`, built on this thread if no other thread has
+/// built it; if another thread is building it, waits for that build.
+fn built(cell: &OnceLock<Arc<TableInner>>, n: u64, skew: f64) -> &Arc<TableInner> {
+    cell.get_or_init(|| {
+        #[cfg(test)]
+        tests::count_build(n, skew);
+        Arc::new(TableInner::build(n, skew).0)
+    })
+}
+
+/// Builds every table of `params` the process does not have yet, on
+/// all available host CPUs, and returns once each is built.
+///
+/// Pairs with `n == 0` or a domain above the table-size guard are
+/// skipped (no sampler builds a table for them), as are repeats. The
+/// calling thread and up to `min(available_parallelism, pairs) - 1`
+/// scoped helper threads take the remaining pairs, largest `n` first,
+/// and every helper is joined before this returns. A helper that
+/// cannot be started is not an error: the threads that did start
+/// finish the list, and with one available CPU none is started. A
+/// pair another thread is already building is waited for, not built
+/// twice.
+pub fn build_tables(params: &[(u64, f64)]) {
+    let mut pairs: Vec<(u64, f64)> = params
+        .iter()
+        .copied()
+        .filter(|&(n, _)| n > 0 && n <= MAX_TABLE_N)
+        .collect();
+    pairs.sort_by_key(|&(n, skew)| (Reverse(n), skew.to_bits()));
+    pairs.dedup_by_key(|&mut (n, skew)| (n, skew.to_bits()));
+    let todo: Vec<(u64, f64, TableCell)> = pairs
+        .into_iter()
+        .map(|(n, skew)| (n, skew, cell(n, skew)))
+        .filter(|(_, _, cell)| cell.get().is_none())
+        .collect();
+    if todo.is_empty() {
+        return;
+    }
+    // The index only hands out list positions; the tables themselves
+    // are published through their `OnceLock` cells.
+    let next = AtomicUsize::new(0);
+    let work = || {
+        while let Some((n, skew, cell)) = todo.get(next.fetch_add(1, Ordering::Relaxed)) {
+            built(cell, *n, *skew);
+        }
+    };
+    let helpers = thread::available_parallelism()
+        .map_or(1, NonZeroUsize::get)
+        .min(todo.len())
+        .saturating_sub(1);
+    thread::scope(|s| {
+        for _ in 0..helpers {
+            let spawned = thread::Builder::new()
+                .name("mmm-tables".to_string())
+                .spawn_scoped(s, work);
+            if spawned.is_err() {
+                break;
+            }
+        }
+        work();
+    });
 }
 
 /// A precomputed power-law sampler, bit-equal to
@@ -230,19 +310,8 @@ impl PowerLawTable {
             n <= MAX_TABLE_N,
             "domain too large for a threshold table ({n} > {MAX_TABLE_N})"
         );
-        let key = (n, skew.to_bits());
-        if let Some(t) = cache().lock().unwrap().get(&key) {
-            return Self {
-                inner: Arc::clone(t),
-            };
-        }
-        // Build outside the lock (construction takes milliseconds);
-        // a racing duplicate build is benign — first insert wins.
-        let built = Arc::new(TableInner::build(n, skew).0);
-        let mut map = cache().lock().unwrap();
-        let entry = map.entry(key).or_insert(built);
         Self {
-            inner: Arc::clone(entry),
+            inner: Arc::clone(built(&cell(n, skew), n, skew)),
         }
     }
 
@@ -335,6 +404,27 @@ impl PowerLawSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
+
+    /// Builds made through the cache, per `(n, skew bits)`.
+    static BUILDS: Mutex<BTreeMap<(u64, u64), u32>> = Mutex::new(BTreeMap::new());
+
+    pub(super) fn count_build(n: u64, skew: f64) {
+        *BUILDS
+            .lock()
+            .unwrap()
+            .entry((n, skew.to_bits()))
+            .or_default() += 1;
+    }
+
+    fn builds(n: u64, skew: f64) -> u32 {
+        BUILDS
+            .lock()
+            .unwrap()
+            .get(&(n, skew.to_bits()))
+            .copied()
+            .unwrap_or(0)
+    }
 
     /// A grid of domain sizes and skews, with the degenerate, Zipf and
     /// skew < 1 corners.
@@ -553,6 +643,51 @@ mod tests {
         assert!(Arc::ptr_eq(&a.inner, &b.inner));
         let c = PowerLawTable::shared(4_096, 1.36);
         assert!(!Arc::ptr_eq(&a.inner, &c.inner));
+    }
+
+    #[test]
+    fn racing_requests_share_one_build() {
+        // A pair no other test asks for, so every thread finds it
+        // missing and all but one must wait for the first build.
+        let (n, skew) = (20_000, 1.77);
+        let barrier = Barrier::new(4);
+        let tables: Vec<PowerLawTable> = thread::scope(|s| {
+            let racers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        PowerLawTable::shared(n, skew)
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert!(tables
+            .iter()
+            .all(|t| Arc::ptr_eq(&t.inner, &tables[0].inner)));
+        assert_eq!(builds(n, skew), 1);
+    }
+
+    #[test]
+    fn build_tables_builds_each_profile_table_once() {
+        // Out-of-range domains and repeats are skipped, not built.
+        let mut params = PROFILE_PAIRS.to_vec();
+        params.extend([(0, 1.3), (MAX_TABLE_N + 1, 1.3), PROFILE_PAIRS[0]]);
+        build_tables(&params);
+        for (n, skew) in PROFILE_PAIRS {
+            let table = cell(n, skew).get().cloned().expect("built by build_tables");
+            let (serial, _) = TableInner::build(n, skew);
+            assert!(
+                table.thresholds == serial.thresholds && table.buckets == serial.buckets,
+                "n={n} skew={skew} differs from a serial build"
+            );
+            assert_eq!(builds(n, skew), 1, "n={n} skew={skew}");
+        }
+        assert_eq!(builds(0, 1.3) + builds(MAX_TABLE_N + 1, 1.3), 0);
+        build_tables(&params);
+        for (n, skew) in PROFILE_PAIRS {
+            assert_eq!(builds(n, skew), 1, "n={n} skew={skew} built again");
+        }
     }
 
     #[test]

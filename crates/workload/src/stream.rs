@@ -12,7 +12,7 @@
 //! stream — which is what makes multi-configuration comparisons (DMR
 //! vs MMM) run the *same work* in every configuration.
 
-use mmm_types::sampler::PowerLawSampler;
+use mmm_types::sampler::{self, PowerLawSampler};
 use mmm_types::{DetRng, PhysAddr, VcpuId, VmId};
 
 use crate::layout::AddressLayout;
@@ -41,16 +41,34 @@ struct PhaseSamplers {
 }
 
 impl PhaseSamplers {
+    /// The `(n, skew)` of each sampler, in field order; `n == 0` marks
+    /// a region the phase lacks. The one list of the tables a phase
+    /// uses: [`PhaseSamplers::new`] builds from it and
+    /// [`StreamSamplers::new`] prebuilds it.
+    fn params(p: &PhaseProfile) -> [(u64, f64); 7] {
+        [
+            (p.hot_lines, p.skew),
+            (p.private_lines, p.skew),
+            (p.os_lines, p.skew),
+            (p.shared_lines, p.skew),
+            (p.os_lines, STORE_SPREAD_SKEW),
+            (p.shared_lines, STORE_SPREAD_SKEW),
+            (p.code_lines, p.code_skew),
+        ]
+    }
+
     fn new(p: &PhaseProfile) -> Self {
-        let opt = |n: u64, skew: f64| (n > 0).then(|| PowerLawSampler::new(n, skew));
+        let [hot, private, os, shared, os_store, shared_store, code] = Self::params(p);
+        let new = |(n, skew): (u64, f64)| PowerLawSampler::new(n, skew);
+        let opt = |(n, skew): (u64, f64)| (n > 0).then(|| new((n, skew)));
         Self {
-            hot: PowerLawSampler::new(p.hot_lines, p.skew),
-            private: PowerLawSampler::new(p.private_lines, p.skew),
-            os: opt(p.os_lines, p.skew),
-            shared: opt(p.shared_lines, p.skew),
-            os_store: opt(p.os_lines, STORE_SPREAD_SKEW),
-            shared_store: opt(p.shared_lines, STORE_SPREAD_SKEW),
-            code: PowerLawSampler::new(p.code_lines, p.code_skew),
+            hot: new(hot),
+            private: new(private),
+            os: opt(os),
+            shared: opt(shared),
+            os_store: opt(os_store),
+            shared_store: opt(shared_store),
+            code: new(code),
         }
     }
 }
@@ -75,7 +93,12 @@ struct StreamSamplers {
 }
 
 impl StreamSamplers {
+    /// Builds the tables of both phases that the process still lacks
+    /// on every host CPU (see [`sampler::build_tables`]), then takes
+    /// each sampler's table from the cache.
     fn new(profile: &WorkloadProfile) -> Self {
+        let [user, os] = [&profile.user, &profile.os].map(PhaseSamplers::params);
+        sampler::build_tables(&[user, os].concat());
         Self {
             phase: [
                 PhaseSamplers::new(&profile.user),
@@ -468,6 +491,20 @@ mod tests {
     fn profile_pairs_are_the_ones_the_sampler_tests_check() {
         let pairs: Vec<(u64, f64)> = profile_tables().iter().map(|t| (t.n(), t.skew())).collect();
         assert_eq!(pairs, PROFILE_PAIRS);
+        // `StreamSamplers::new` prebuilds exactly these.
+        let mut params: Vec<(u64, f64)> = Benchmark::all()
+            .into_iter()
+            .chain([Benchmark::SpecLike])
+            .flat_map(|b| {
+                let profile = b.profile();
+                [profile.user, profile.os]
+            })
+            .flat_map(|phase| PhaseSamplers::params(&phase))
+            .filter(|&(n, _)| n > 0)
+            .collect();
+        params.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        params.dedup();
+        assert_eq!(params, PROFILE_PAIRS);
     }
 
     #[test]

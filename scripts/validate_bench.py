@@ -8,7 +8,11 @@ written by ``perf_smoke``: identity fields, a positive measured cycle
 count, finite non-negative wall/throughput numbers, a per-rep
 wall-seconds list consistent with the rep count, and run provenance
 (a non-negative Unix ``timestamp``, a non-empty ``host`` name, plus
-``git_describe``/``git_commit``). Profiled baselines (``MMM_PROFILE=1``)
+``git_describe``/``git_commit`` and ``diff_fnv``, the FNV-1a 64 of
+``git diff HEAD`` without the ``BENCH_*.json`` baselines as 16 hex
+digits, required whenever ``git_describe`` ends in ``-dirty`` and
+otherwise null or 16 hex digits). Profiled
+baselines (``MMM_PROFILE=1``)
 additionally carry a ``profile`` section whose phase shares must sum
 to ~100%. Exits non-zero (failing CI) on any malformed file. Uses only
 the Python standard library.
@@ -16,6 +20,7 @@ the Python standard library.
 
 import json
 import math
+import re
 import sys
 
 REQUIRED = {
@@ -82,6 +87,14 @@ def validate(path: str) -> None:
         fail(f"{path}: host must be a non-empty string")
     if not obj["git_commit"].strip():
         fail(f"{path}: git_commit must be a non-empty string")
+    if "diff_fnv" not in obj:
+        fail(f"{path}: missing key 'diff_fnv'")
+    fnv = obj["diff_fnv"]
+    if fnv is None:
+        if obj["git_describe"].endswith("-dirty"):
+            fail(f"{path}: a -dirty git_describe needs a diff_fnv hash")
+    elif not isinstance(fnv, str) or not re.fullmatch(r"[0-9a-f]{16}", fnv):
+        fail(f"{path}: diff_fnv must be null or 16 hex digits, got {fnv!r}")
     if "profile" in obj:
         validate_profile(path, obj["profile"])
     print(
