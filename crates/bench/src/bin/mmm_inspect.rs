@@ -1,28 +1,34 @@
 //! Run-export diff tool and regression gate.
 //!
-//! `mmm-inspect` loads two run exports — report JSONL
-//! (`results/<bin>.jsonl`), metrics time-series JSONL
-//! (`results/<bin>.metrics.jsonl`), or a `BENCH_hotloop.json` perf
-//! baseline — flattens each into `metric -> number`, and diffs them
-//! with a configurable relative threshold:
+//! `mmm-inspect` loads two run exports of one kind, flattens each into
+//! `metric -> number`, and diffs them against a threshold:
 //!
 //! ```text
-//! mmm-inspect A.json B.json [--threshold 0.15] [--only SUBSTR]...
-//!             [--direction both|down|up] [--json] [--force]
-//! mmm-inspect profile A.json B.json [--threshold 5] [--json] [--force]
-//! mmm-inspect campaign A.json B.json [--threshold 0] [--json] [--force]
-//! mmm-inspect faults A.json B.json [--threshold 0.05] [--json] [--force]
+//! mmm-inspect A B [--threshold 0.15] [--only SUBSTR]... [--json] [--force]
+//! mmm-inspect profile A B [--threshold 5] [--only SUBSTR]... [--json] [--force]
+//! mmm-inspect campaign A B [--threshold 0] [--only SUBSTR]... [--json] [--force]
+//! mmm-inspect faults A B [--threshold 0.05] [--only SUBSTR]... [--json] [--force]
 //! ```
 //!
-//! The `profile` mode diffs the self-profiler's phase shares between
-//! two profiled exports (`BENCH_*.json` files carrying a `profile`
-//! section, written under `MMM_PROFILE=1`). Shares are percentages of
-//! the measured window, so the threshold is in percentage *points*
-//! (default 5): a phase whose share moves from 30% to 37% crosses a
-//! 5-point gate and exits 1, like the perf gate. Wheel introspection
-//! counters (wake hits, skip efficiency) are shown but not gated.
+//! Without a kind word, the first line tells a report export
+//! (`results/<bin>.jsonl`) from a metrics time-series
+//! (`results/<bin>.metrics.jsonl`); both are gated on the relative
+//! change of each metric.
 //!
-//! The `campaign` mode diffs two `aggregate.json` campaign exports
+//! The `profile` kind diffs the self-profiler's phase shares between
+//! two profile exports (`results/<bin>.profile.jsonl`, written by a
+//! `--json` run under `MMM_PROFILE=1`, one line per report). As in a
+//! report export of several runs, each run's metrics are prefixed
+//! `#i.`. Shares are percentages of the measured window, so the
+//! threshold is in percentage *points* (default 5): a phase whose
+//! share moves from 30% to 37% crosses a 5-point gate and exits 1.
+//! Wheel introspection counters (wake hits, skip efficiency) are shown
+//! but not gated. A profile that breaks its schema is unusable input
+//! (exit 2): a missing section, a phase share that is negative or not
+//! finite, shares of a non-empty window that do not sum to 100 ± 0.5,
+//! or a skip efficiency outside [0, 1].
+//!
+//! The `campaign` kind diffs two `aggregate.json` campaign exports
 //! (written by `mmm-campaign`): per-cell summaries, Pareto membership,
 //! and the lossless merged metrics registry all flatten into the
 //! comparison. Campaign aggregates are deterministic by construction,
@@ -31,7 +37,7 @@
 //! interrupted-then-resumed campaign must match an uninterrupted one
 //! exactly.
 //!
-//! The `faults` mode diffs two fault-forensics exports
+//! The `faults` kind diffs two fault-forensics exports
 //! (`results/<bin>.faults.jsonl`, written under `MMM_FORENSICS=1`):
 //! per-site outcome *distributions* (the share of each site's records
 //! landing on each verdict) are gated on their absolute point delta —
@@ -41,31 +47,23 @@
 //! regression (say, `tlb_permission` escapes growing from 10% to 20%
 //! of injections) exits 1.
 //!
-//! Every mode ends with a trailing summary line, `compared N metrics,
+//! Every kind ends with a trailing summary line, `compared N metrics,
 //! skipped M absent-in-one-side`: metric names present in only one of
 //! the two files are *skipped*, not compared against zero, and a diff
 //! of files with disjoint metric sets reports itself instead of
-//! passing silently as vacuous.
+//! passing silently as vacuous. Metrics that are 0 in both files are
+//! not compared.
 //!
-//! The two files must be the same kind and describe comparable runs:
-//! the identity block (config, benchmark, scheduler, thread count;
-//! cycle budgets for bench baselines) must match or the tool refuses
-//! with exit code 2 (`--force` compares anyway). Host-dependent fields
-//! (wall seconds, cycles/sec, timestamp, host) are excluded from the
-//! default comparison; select them explicitly with `--only`, which
+//! The two files must describe comparable runs: the identity block
+//! (config, benchmark, scheduler, thread count and cycles of every
+//! run; the cadence of a series; the sweep of a campaign) must match or
+//! the tool refuses with exit code 2 (`--force` compares anyway). The
+//! host-dependent `sim_cycles_per_sec` gauge is excluded from the
+//! default comparison; select it explicitly with `--only`, which
 //! restricts the comparison to metrics containing a given substring.
 //!
-//! `--direction down` fails only on decreases, `up` only on increases
-//! (`both`, the default, gates the absolute change). Exit codes: 0 —
-//! no compared metric crossed the threshold; 1 — at least one did;
-//! 2 — unusable input or identity mismatch.
-//!
-//! CI uses this as the perf regression gate:
-//!
-//! ```text
-//! mmm-inspect baseline/BENCH_hotloop.json BENCH_hotloop.json \
-//!     --only sim_cycles_per_sec --direction down --threshold 0.15
-//! ```
+//! Exit codes: 0 — no compared metric crossed the threshold; 1 — at
+//! least one did; 2 — unusable input or identity mismatch.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -73,68 +71,38 @@ use std::process::ExitCode;
 use mmm_core::report::print_table;
 use mmm_trace::Json;
 
-/// Which way a change must point to trip the gate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Direction {
-    /// Gate on the absolute relative change.
-    Both,
-    /// Gate on decreases only (e.g. throughput regressions).
-    Down,
-    /// Gate on increases only (e.g. latency regressions).
-    Up,
-}
-
 /// Parsed command line.
 struct Options {
     /// Baseline export path.
     a: String,
     /// Candidate export path.
     b: String,
-    /// Relative-change threshold (0.15 = 15%); in `profile` mode,
-    /// percentage points of phase share; in `faults` mode, points of
-    /// outcome share.
+    /// The kind named on the command line; `None` for a report or
+    /// metrics-series export, told apart by its first line.
+    kind: Option<Kind>,
+    /// Gate: the relative change (0.15 = 15%) of report, series and
+    /// campaign metrics; the point delta of profile and fault shares.
     threshold: f64,
     /// Substring filters; empty means "every default metric".
     only: Vec<String>,
-    /// Gated direction.
-    direction: Direction,
     /// Emit a JSON verdict instead of tables.
     json: bool,
     /// Compare even when the identity blocks differ.
     force: bool,
-    /// `profile` mode: diff self-profiler phase shares instead of
-    /// simulated metrics.
-    profile: bool,
-    /// `campaign` mode: diff two campaign aggregates exactly.
-    campaign: bool,
-    /// `faults` mode: diff two fault-forensics exports.
-    faults: bool,
-    /// Whether `--threshold` appeared (the profile-, campaign-, and
-    /// faults-mode defaults differ from the metric-mode default).
-    threshold_set: bool,
 }
 
 fn usage() -> String {
     "usage: mmm-inspect [profile|campaign|faults] <A> <B> [--threshold F] [--only SUBSTR]... \
-     [--direction both|down|up] [--json] [--force]"
+     [--json] [--force]"
         .to_string()
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut paths = Vec::new();
-    let mut opts = Options {
-        a: String::new(),
-        b: String::new(),
-        threshold: 0.15,
-        only: Vec::new(),
-        direction: Direction::Both,
-        json: false,
-        force: false,
-        profile: false,
-        campaign: false,
-        faults: false,
-        threshold_set: false,
-    };
+    let mut kind = None;
+    let mut threshold = None;
+    let mut only = Vec::new();
+    let (mut json, mut force) = (false, false);
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -142,82 +110,56 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 let v = it
                     .next()
                     .ok_or_else(|| "--threshold needs a value".to_string())?;
-                opts.threshold = v
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|t| t.is_finite() && *t >= 0.0)
-                    .ok_or_else(|| format!("bad threshold {v:?}"))?;
-                opts.threshold_set = true;
+                threshold = Some(
+                    v.parse::<f64>()
+                        .ok()
+                        .filter(|t| t.is_finite() && *t >= 0.0)
+                        .ok_or_else(|| format!("bad threshold {v:?}"))?,
+                );
             }
             "--only" => {
                 let v = it
                     .next()
                     .ok_or_else(|| "--only needs a value".to_string())?;
-                opts.only.push(v.clone());
+                only.push(v.clone());
             }
-            "--direction" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--direction needs a value".to_string())?;
-                opts.direction = match v.as_str() {
-                    "both" => Direction::Both,
-                    "down" => Direction::Down,
-                    "up" => Direction::Up,
-                    _ => return Err(format!("bad direction {v:?} (both|down|up)")),
-                };
-            }
-            "--json" => opts.json = true,
-            "--force" => opts.force = true,
+            "--json" => json = true,
+            "--force" => force = true,
             "--help" | "-h" => return Err(usage()),
             other if other.starts_with("--") => {
                 return Err(format!("unknown flag {other:?}\n{}", usage()))
             }
-            "profile" if paths.is_empty() && !opts.profile && !opts.campaign && !opts.faults => {
-                opts.profile = true
-            }
-            "campaign" if paths.is_empty() && !opts.profile && !opts.campaign && !opts.faults => {
-                opts.campaign = true
-            }
-            "faults" if paths.is_empty() && !opts.profile && !opts.campaign && !opts.faults => {
-                opts.faults = true
-            }
+            "profile" if paths.is_empty() && kind.is_none() => kind = Some(Kind::Profile),
+            "campaign" if paths.is_empty() && kind.is_none() => kind = Some(Kind::Campaign),
+            "faults" if paths.is_empty() && kind.is_none() => kind = Some(Kind::Faults),
             other => paths.push(other.to_string()),
         }
     }
-    if paths.len() != 2 {
-        return Err(usage());
-    }
-    opts.a = paths.remove(0);
-    opts.b = paths.remove(0);
-    if opts.profile && !opts.threshold_set {
-        // Phase shares are percentages; gate on points, not ratios.
-        opts.threshold = 5.0;
-    }
-    if opts.campaign && !opts.threshold_set {
-        // Aggregates are deterministic; any drift is a failure.
-        opts.threshold = 0.0;
-    }
-    if opts.faults && !opts.threshold_set {
-        // Outcome shares are fractions; five points of drift gates.
-        opts.threshold = 0.05;
-    }
-    Ok(opts)
+    let [a, b] = <[String; 2]>::try_from(paths).map_err(|_| usage())?;
+    Ok(Options {
+        a,
+        b,
+        kind,
+        threshold: threshold.unwrap_or(kind.unwrap_or(Kind::Report).default_threshold()),
+        only,
+        json,
+        force,
+    })
 }
 
-/// The kind of export a file holds, detected from its first line.
+/// The kind of export a file holds, which decides how it is compared.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Kind {
     /// Per-seed `SystemReport` lines (`results/<bin>.jsonl`).
     Report,
-    /// A `BENCH_hotloop.json` perf-baseline line.
-    Bench,
     /// A sampled metrics time-series (`results/<bin>.metrics.jsonl`).
     Series,
-    /// Self-profiler phase shares (`profile` mode).
+    /// Self-profiler phase shares, one line per report
+    /// (`results/<bin>.profile.jsonl`).
     Profile,
-    /// A campaign aggregate (`campaign` mode).
+    /// A campaign aggregate (`aggregate.json`).
     Campaign,
-    /// A fault-forensics export (`faults` mode).
+    /// A fault-forensics export (`results/<bin>.faults.jsonl`).
     Faults,
 }
 
@@ -225,11 +167,40 @@ impl Kind {
     fn name(self) -> &'static str {
         match self {
             Kind::Report => "report",
-            Kind::Bench => "bench",
             Kind::Series => "metrics-series",
             Kind::Profile => "profile",
             Kind::Campaign => "campaign",
             Kind::Faults => "faults",
+        }
+    }
+
+    /// The `--threshold` default. Campaign aggregates are
+    /// deterministic, so any drift fails; phase shares are
+    /// percentages and outcome shares fractions, so their defaults
+    /// are five points of each.
+    fn default_threshold(self) -> f64 {
+        match self {
+            Kind::Report | Kind::Series => 0.15,
+            Kind::Profile => 5.0,
+            Kind::Campaign => 0.0,
+            Kind::Faults => 0.05,
+        }
+    }
+
+    /// Whether the gated metrics are shares, compared by their point
+    /// delta: a relative change of a tiny share is noise.
+    fn shares(self) -> bool {
+        matches!(self, Kind::Profile | Kind::Faults)
+    }
+
+    /// Whether `name` is gated. Wheel introspection rides along with
+    /// phase shares, and counts and latencies with outcome shares,
+    /// shown but never failing.
+    fn gates(self, name: &str) -> bool {
+        match self {
+            Kind::Profile => !name.contains("wheel."),
+            Kind::Faults => name.starts_with("share."),
+            Kind::Report | Kind::Series | Kind::Campaign => true,
         }
     }
 }
@@ -242,33 +213,30 @@ struct RunFile {
     metrics: BTreeMap<String, f64>,
 }
 
-fn load(path: &str) -> Result<RunFile, String> {
+/// The non-empty lines of a JSONL export, parsed.
+fn read_jsonl(path: &str) -> Result<Vec<Json>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let lines: Vec<Json> = text
         .lines()
         .filter(|l| !l.trim().is_empty())
         .map(|l| Json::parse(l).map_err(|e| format!("{path}: {e}")))
         .collect::<Result<_, _>>()?;
-    let first = lines.first().ok_or_else(|| format!("{path}: empty file"))?;
-    let kind = if first.get("bench").is_some() {
-        Kind::Bench
-    } else if first.get("interval").is_some() && first.get("samples").is_some() {
-        Kind::Series
-    } else if first.get("metrics").is_some() {
-        Kind::Report
+    if lines.is_empty() {
+        return Err(format!("{path}: empty file"));
+    }
+    Ok(lines)
+}
+
+/// Loads a report or metrics-series export, detected from its first
+/// line.
+fn load(path: &str) -> Result<RunFile, String> {
+    let lines = read_jsonl(path)?;
+    if lines[0].get("interval").is_some() && lines[0].get("samples").is_some() {
+        series_file(path, &lines)
+    } else if lines[0].get("metrics").is_some() {
+        report_file(path, &lines)
     } else {
-        return Err(format!("{path}: not a recognised run export"));
-    };
-    match kind {
-        Kind::Bench => bench_file(path, &lines),
-        Kind::Report => report_file(path, &lines),
-        Kind::Series => series_file(path, &lines),
-        // `profile` / `campaign` / `faults` modes bypass `load`
-        // entirely (see `load_profile` / `load_campaign` /
-        // `load_faults`).
-        Kind::Profile | Kind::Campaign | Kind::Faults => {
-            unreachable!("detection never yields these")
-        }
+        Err(format!("{path}: not a recognised run export"))
     }
 }
 
@@ -280,47 +248,26 @@ fn ident_str(v: Option<&Json>) -> String {
     }
 }
 
-fn bench_file(path: &str, lines: &[Json]) -> Result<RunFile, String> {
-    if lines.len() != 1 {
-        return Err(format!(
-            "{path}: expected one bench line, got {}",
-            lines.len()
-        ));
+/// The identity fields of a report line, and of the profile line that
+/// pairs with it.
+const RUN_IDENTITY: [&str; 5] = ["config", "benchmark", "scheduler", "threads", "cycles"];
+
+/// The name prefix of run `i` in a file of `runs` runs: `#i.` when
+/// there are several, nothing for one.
+fn run_prefix(i: usize, runs: usize) -> String {
+    if runs > 1 {
+        format!("#{i}.")
+    } else {
+        String::new()
     }
-    let line = &lines[0];
-    let identity = [
-        "bench",
-        "config",
-        "benchmark",
-        "warmup_cycles",
-        "measured_cycles",
-    ]
-    .iter()
-    .map(|k| (k.to_string(), ident_str(line.get(k))))
-    .collect();
-    let mut metrics = BTreeMap::new();
-    for (k, v) in line.as_obj().unwrap_or(&[]) {
-        if let Some(n) = v.as_f64() {
-            metrics.insert(k.clone(), n);
-        }
-    }
-    Ok(RunFile {
-        kind: Kind::Bench,
-        identity,
-        metrics,
-    })
 }
 
 fn report_file(path: &str, lines: &[Json]) -> Result<RunFile, String> {
     let mut identity = Vec::new();
     let mut metrics = BTreeMap::new();
     for (i, line) in lines.iter().enumerate() {
-        let prefix = if lines.len() > 1 {
-            format!("#{i}.")
-        } else {
-            String::new()
-        };
-        for k in ["config", "benchmark", "scheduler", "threads", "cycles"] {
+        let prefix = run_prefix(i, lines.len());
+        for k in RUN_IDENTITY {
             identity.push((format!("{prefix}{k}"), ident_str(line.get(k))));
         }
         if let Some(vcpus) = line.get("vcpus").and_then(Json::as_arr) {
@@ -409,63 +356,92 @@ fn series_file(path: &str, lines: &[Json]) -> Result<RunFile, String> {
     })
 }
 
-/// Loads the self-profiler section of an export for `profile` mode:
-/// either a `BENCH_*.json` baseline carrying a `profile` key (written
-/// under `MMM_PROFILE=1`) or a bare profile object with
-/// `phase_shares`. Phase shares become the gated metrics; wheel
-/// introspection numbers ride along for display, prefixed `wheel.` so
-/// the default comparison can leave them ungated.
-fn load_profile(path: &str) -> Result<RunFile, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let first = text
-        .lines()
-        .find(|l| !l.trim().is_empty())
-        .ok_or_else(|| format!("{path}: empty file"))?;
-    let line = Json::parse(first).map_err(|e| format!("{path}: {e}"))?;
-    let (identity, profile) = if let Some(p) = line.get("profile") {
-        let identity = [
-            "bench",
-            "config",
-            "benchmark",
-            "warmup_cycles",
-            "measured_cycles",
-        ]
-        .iter()
-        .map(|k| (k.to_string(), ident_str(line.get(k))))
-        .collect();
-        (identity, p)
-    } else if line.get("phase_shares").is_some() {
-        (Vec::new(), &line)
-    } else {
-        return Err(format!(
-            "{path}: no `profile` section (run the bench under MMM_PROFILE=1)"
-        ));
-    };
-    let mut metrics = BTreeMap::new();
-    for (name, v) in profile
-        .get("phase_shares")
-        .and_then(Json::as_obj)
-        .ok_or_else(|| format!("{path}: profile has no phase_shares object"))?
-    {
-        if let Some(n) = v.as_f64() {
-            metrics.insert(name.clone(), n);
+/// `obj[key]`, or an error naming the missing key.
+fn field<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, String> {
+    obj.get(key).ok_or_else(|| format!("no {key:?}"))
+}
+
+/// Checks one run's profile as `ProfileReport::to_json` writes it —
+/// the four sections present, every phase share a finite number >= 0,
+/// the shares of a non-empty window (`total_nanos` > 0) summing to
+/// 100 ± 0.5, and the wheel's `skip_efficiency` in [0, 1] — and adds
+/// its phase shares and its wheel numbers (as `wheel.*`) to `metrics`,
+/// each name after `prefix`.
+fn add_profile(
+    profile: &Json,
+    prefix: &str,
+    metrics: &mut BTreeMap<String, f64>,
+) -> Result<(), String> {
+    let total = field(profile, "total_nanos")?
+        .as_u64()
+        .ok_or("total_nanos is not a non-negative integer")?;
+    field(profile, "phase_nanos")?;
+    let shares = field(profile, "phase_shares")?
+        .as_obj()
+        .filter(|s| !s.is_empty())
+        .ok_or("phase_shares is not a non-empty object")?;
+    let mut sum = 0.0;
+    for (name, v) in shares {
+        match v.as_f64() {
+            Some(share) if share.is_finite() && share >= 0.0 => {
+                sum += share;
+                metrics.insert(format!("{prefix}{name}"), share);
+            }
+            _ => return Err(format!("phase share {name} is {}", v.render())),
         }
     }
-    if let Some(wheel) = profile.get("wheel") {
-        for key in [
-            "skip_efficiency",
-            "ticks",
-            "advanced_cycles",
-            "skipped_cycles",
-        ] {
-            if let Some(n) = wheel.get(key).and_then(Json::as_f64) {
-                metrics.insert(format!("wheel.{key}"), n);
-            }
+    if total > 0 && (sum - 100.0).abs() > 0.5 {
+        return Err(format!("phase shares sum to {sum:.3}, not 100 ± 0.5"));
+    }
+    let wheel = field(profile, "wheel")?;
+    for key in ["wake_hits", "ticks", "advanced_cycles"] {
+        field(wheel, key)?;
+    }
+    let efficiency = field(wheel, "skip_efficiency")?;
+    if !efficiency
+        .as_f64()
+        .is_some_and(|e| (0.0..=1.0).contains(&e))
+    {
+        return Err(format!(
+            "skip_efficiency is {}, not in [0, 1]",
+            efficiency.render()
+        ));
+    }
+    for key in [
+        "skip_efficiency",
+        "ticks",
+        "advanced_cycles",
+        "skipped_cycles",
+    ] {
+        if let Some(n) = wheel.get(key).and_then(Json::as_f64) {
+            metrics.insert(format!("{prefix}wheel.{key}"), n);
         }
-        for (name, v) in wheel.get("wake_hits").and_then(Json::as_obj).unwrap_or(&[]) {
-            if let Some(n) = v.as_f64() {
-                metrics.insert(format!("wheel.wake_hits.{name}"), n);
-            }
+    }
+    for (name, v) in wheel.get("wake_hits").and_then(Json::as_obj).unwrap_or(&[]) {
+        if let Some(n) = v.as_f64() {
+            metrics.insert(format!("{prefix}wheel.wake_hits.{name}"), n);
+        }
+    }
+    Ok(())
+}
+
+/// Loads a profile export (`results/<bin>.profile.jsonl`) for `profile`
+/// mode, checking every run's profile ([`add_profile`]). Phase shares
+/// become the gated metrics; wheel introspection numbers ride along
+/// for display. Identity and names carry the run prefix of report
+/// exports ([`run_prefix`]).
+fn profile_file(path: &str, lines: &[Json]) -> Result<RunFile, String> {
+    let mut identity = Vec::new();
+    let mut metrics = BTreeMap::new();
+    for (i, line) in lines.iter().enumerate() {
+        let profile = line.get("profile").ok_or_else(|| {
+            format!("{path}: line {i} has no profile (a --json run under MMM_PROFILE=1 writes one)")
+        })?;
+        let prefix = run_prefix(i, lines.len());
+        add_profile(profile, &prefix, &mut metrics)
+            .map_err(|e| format!("{path}: line {i}: {e}"))?;
+        for k in RUN_IDENTITY {
+            identity.push((format!("{prefix}{k}"), ident_str(line.get(k))));
         }
     }
     Ok(RunFile {
@@ -660,186 +636,10 @@ fn load_faults(path: &str) -> Result<RunFile, String> {
     })
 }
 
-/// Compares two profiles: phase shares are gated on their *point*
-/// delta (shares are percentages of the measured window, so relative
-/// changes of tiny phases would be pure noise); `wheel.*`
-/// introspection rows are shown but never gated. Returns the rows and
-/// the count of metrics skipped for being absent in one file.
-fn compare_profiles(a: &RunFile, b: &RunFile, opts: &Options) -> (Vec<Row>, usize) {
-    let mut names: Vec<&String> = a.metrics.keys().chain(b.metrics.keys()).collect();
-    names.sort();
-    names.dedup();
-    let mut rows = Vec::new();
-    let mut skipped = 0;
-    for name in names {
-        if !opts.only.is_empty() && !opts.only.iter().any(|s| name.contains(s.as_str())) {
-            continue;
-        }
-        let (va, vb) = match (a.metrics.get(name), b.metrics.get(name)) {
-            (Some(&va), Some(&vb)) => (va, vb),
-            _ => {
-                skipped += 1;
-                continue;
-            }
-        };
-        if va == 0.0 && vb == 0.0 {
-            continue;
-        }
-        let delta = vb - va;
-        let gated = !name.starts_with("wheel.");
-        let fail = gated
-            && match opts.direction {
-                Direction::Both => delta.abs() > opts.threshold,
-                Direction::Down => delta < -opts.threshold,
-                Direction::Up => delta > opts.threshold,
-            };
-        rows.push(Row {
-            name: name.clone(),
-            a: va,
-            b: vb,
-            rel: delta,
-            fail,
-        });
-    }
-    (rows, skipped)
-}
-
-/// Compares two forensics exports: `share.*` rows (per-site outcome
-/// distributions) are gated on their absolute point delta, like
-/// profile phase shares; `count.*` and `latency.*` rows are shown
-/// ungated. Returns the rows and the count of skipped-absent metrics —
-/// an outcome present in only one file (a verdict that stopped or
-/// started occurring) is skipped, and the trailing summary makes the
-/// asymmetry visible.
-fn compare_faults(a: &RunFile, b: &RunFile, opts: &Options) -> (Vec<Row>, usize) {
-    let mut names: Vec<&String> = a.metrics.keys().chain(b.metrics.keys()).collect();
-    names.sort();
-    names.dedup();
-    let mut rows = Vec::new();
-    let mut skipped = 0;
-    for name in names {
-        if !opts.only.is_empty() && !opts.only.iter().any(|s| name.contains(s.as_str())) {
-            continue;
-        }
-        let (va, vb) = match (a.metrics.get(name), b.metrics.get(name)) {
-            (Some(&va), Some(&vb)) => (va, vb),
-            _ => {
-                skipped += 1;
-                continue;
-            }
-        };
-        let delta = vb - va;
-        let gated = name.starts_with("share.");
-        let fail = gated
-            && match opts.direction {
-                Direction::Both => delta.abs() > opts.threshold,
-                Direction::Down => delta < -opts.threshold,
-                Direction::Up => delta > opts.threshold,
-            };
-        rows.push(Row {
-            name: name.clone(),
-            a: va,
-            b: vb,
-            rel: delta,
-            fail,
-        });
-    }
-    (rows, skipped)
-}
-
-/// Human-readable verdict for `profile` mode: deltas are percentage
-/// points of phase share, not relative changes.
-fn print_profile_human(rows: &[Row], skipped: usize, opts: &Options) {
-    let to_cells = |r: &Row| {
-        vec![
-            r.name.clone(),
-            format!("{:.2}", r.a),
-            format!("{:.2}", r.b),
-            format!("{:+.2}", r.rel),
-            if r.fail { "FAIL" } else { "ok" }.to_string(),
-        ]
-    };
-    let failed: Vec<&Row> = rows.iter().filter(|r| r.fail).collect();
-    if !failed.is_empty() {
-        print_table(
-            &format!(
-                "Phase shares over threshold ({:.1} points, direction {})",
-                opts.threshold,
-                direction_name(opts.direction)
-            ),
-            &["phase", "A", "B", "delta", "gate"],
-            &failed.iter().map(|r| to_cells(r)).collect::<Vec<_>>(),
-        );
-    }
-    let rest: Vec<&Row> = rows.iter().filter(|r| !r.fail).collect();
-    if !rest.is_empty() {
-        print_table(
-            "Phase shares and wheel introspection (within threshold)",
-            &["metric", "A", "B", "delta", "gate"],
-            &rest.iter().map(|r| to_cells(r)).collect::<Vec<_>>(),
-        );
-    }
-    println!(
-        "\nmmm-inspect: {} vs {} (profile): compared {} metrics, \
-         skipped {} absent-in-one-side, {} over threshold",
-        opts.a,
-        opts.b,
-        rows.len(),
-        skipped,
-        failed.len()
-    );
-}
-
-/// Human-readable verdict for `faults` mode: share deltas are points
-/// of per-site outcome distribution; counts and latency percentiles
-/// ride along ungated.
-fn print_faults_human(rows: &[Row], skipped: usize, opts: &Options) {
-    let to_cells = |r: &Row| {
-        vec![
-            r.name.clone(),
-            fmt_num(r.a),
-            fmt_num(r.b),
-            format!("{:+.4}", r.rel),
-            if r.fail { "FAIL" } else { "ok" }.to_string(),
-        ]
-    };
-    let failed: Vec<&Row> = rows.iter().filter(|r| r.fail).collect();
-    if !failed.is_empty() {
-        print_table(
-            &format!(
-                "Outcome shares over threshold ({:.2} points, direction {})",
-                opts.threshold,
-                direction_name(opts.direction)
-            ),
-            &["metric", "A", "B", "delta", "gate"],
-            &failed.iter().map(|r| to_cells(r)).collect::<Vec<_>>(),
-        );
-    }
-    let rest: Vec<&Row> = rows.iter().filter(|r| !r.fail).collect();
-    if !rest.is_empty() {
-        print_table(
-            "Outcome counts, shares, and detection latency (within threshold)",
-            &["metric", "A", "B", "delta", "gate"],
-            &rest.iter().map(|r| to_cells(r)).collect::<Vec<_>>(),
-        );
-    }
-    println!(
-        "\nmmm-inspect: {} vs {} (faults): compared {} metrics, \
-         skipped {} absent-in-one-side, {} over threshold",
-        opts.a,
-        opts.b,
-        rows.len(),
-        skipped,
-        failed.len()
-    );
-}
-
 /// Host-dependent metrics are noise, not regressions; they only enter
 /// the comparison when `--only` names them explicitly.
 fn host_dependent(name: &str) -> bool {
-    ["wall_seconds", "sim_cycles_per_sec", "timestamp", "host"]
-        .iter()
-        .any(|s| name.contains(s))
+    name.contains("sim_cycles_per_sec")
 }
 
 /// One compared metric.
@@ -847,11 +647,16 @@ struct Row {
     name: String,
     a: f64,
     b: f64,
-    /// Relative change `(b - a) / a`; ±inf when a is 0 and b is not.
+    /// Relative change `(b - a) / a` (±inf when a is 0 and b is not),
+    /// or the point delta `b - a` of a share ([`Kind::shares`]).
     rel: f64,
     fail: bool,
 }
 
+/// Compares two files of one kind metric by metric; a metric fails
+/// when its kind [gates](Kind::gates) it and its change is past the
+/// threshold. Returns the rows and the count of metrics skipped for
+/// being absent in one file.
 fn compare(a: &RunFile, b: &RunFile, opts: &Options) -> (Vec<Row>, usize) {
     let mut names: Vec<&String> = a.metrics.keys().chain(b.metrics.keys()).collect();
     names.sort();
@@ -880,22 +685,19 @@ fn compare(a: &RunFile, b: &RunFile, opts: &Options) -> (Vec<Row>, usize) {
         if va == 0.0 && vb == 0.0 {
             continue;
         }
-        let rel = if va != 0.0 {
+        let rel = if a.kind.shares() {
+            vb - va
+        } else if va != 0.0 {
             (vb - va) / va
         } else {
             f64::INFINITY * vb.signum()
-        };
-        let fail = match opts.direction {
-            Direction::Both => rel.abs() > opts.threshold,
-            Direction::Down => rel < -opts.threshold,
-            Direction::Up => rel > opts.threshold,
         };
         rows.push(Row {
             name: name.clone(),
             a: va,
             b: vb,
             rel,
-            fail,
+            fail: a.kind.gates(name) && rel.abs() > opts.threshold,
         });
     }
     (rows, skipped)
@@ -917,12 +719,53 @@ fn fmt_rel(rel: f64) -> String {
     }
 }
 
-fn direction_name(d: Direction) -> &'static str {
-    match d {
-        Direction::Both => "both",
-        Direction::Down => "down",
-        Direction::Up => "up",
+/// Human-readable verdict for the share kinds (`profile`, `faults`):
+/// deltas are points of share, and every compared row is listed.
+fn print_shares_human(rows: &[Row], skipped: usize, opts: &Options, kind: Kind) {
+    let (gated, within) = match kind {
+        Kind::Profile => (
+            "Phase shares",
+            "Phase shares and wheel introspection (within threshold)",
+        ),
+        _ => (
+            "Outcome shares",
+            "Outcome counts, shares, and detection latency (within threshold)",
+        ),
+    };
+    let to_cells = |r: &Row| {
+        vec![
+            r.name.clone(),
+            fmt_num(r.a),
+            fmt_num(r.b),
+            format!("{:+.4}", r.rel),
+            if r.fail { "FAIL" } else { "ok" }.to_string(),
+        ]
+    };
+    let (failed, rest): (Vec<&Row>, Vec<&Row>) = rows.iter().partition(|r| r.fail);
+    if !failed.is_empty() {
+        print_table(
+            &format!("{gated} over threshold ({} points)", opts.threshold),
+            &["metric", "A", "B", "delta", "gate"],
+            &failed.iter().map(|r| to_cells(r)).collect::<Vec<_>>(),
+        );
     }
+    if !rest.is_empty() {
+        print_table(
+            within,
+            &["metric", "A", "B", "delta", "gate"],
+            &rest.iter().map(|r| to_cells(r)).collect::<Vec<_>>(),
+        );
+    }
+    println!(
+        "\nmmm-inspect: {} vs {} ({}): compared {} metrics, \
+         skipped {} absent-in-one-side, {} over threshold",
+        opts.a,
+        opts.b,
+        kind.name(),
+        rows.len(),
+        skipped,
+        failed.len()
+    );
 }
 
 fn print_human(rows: &[Row], skipped: usize, opts: &Options, kind: Kind) {
@@ -938,11 +781,7 @@ fn print_human(rows: &[Row], skipped: usize, opts: &Options, kind: Kind) {
     };
     if !failed.is_empty() {
         print_table(
-            &format!(
-                "Metrics over threshold ({:.0}%, direction {})",
-                opts.threshold * 100.0,
-                direction_name(opts.direction)
-            ),
+            &format!("Metrics over threshold ({:.0}%)", opts.threshold * 100.0),
             &["metric", "A", "B", "change", "gate"],
             &failed.iter().map(|r| to_cells(r)).collect::<Vec<_>>(),
         );
@@ -1001,7 +840,6 @@ fn print_json(rows: &[Row], skipped: usize, opts: &Options, kind: Kind) {
         ("b", Json::str(opts.b.clone())),
         ("kind", Json::str(kind.name())),
         ("threshold", Json::F64(opts.threshold)),
-        ("direction", Json::str(direction_name(opts.direction))),
         ("compared", Json::U64(rows.len() as u64)),
         ("skipped_absent", Json::U64(skipped as u64)),
         (
@@ -1020,15 +858,13 @@ fn print_json(rows: &[Row], skipped: usize, opts: &Options, kind: Kind) {
 }
 
 fn run(opts: &Options) -> Result<bool, String> {
-    let (a, b) = if opts.profile {
-        (load_profile(&opts.a)?, load_profile(&opts.b)?)
-    } else if opts.campaign {
-        (load_campaign(&opts.a)?, load_campaign(&opts.b)?)
-    } else if opts.faults {
-        (load_faults(&opts.a)?, load_faults(&opts.b)?)
-    } else {
-        (load(&opts.a)?, load(&opts.b)?)
+    let load_kind = |path: &str| match opts.kind {
+        Some(Kind::Profile) => profile_file(path, &read_jsonl(path)?),
+        Some(Kind::Campaign) => load_campaign(path),
+        Some(Kind::Faults) => load_faults(path),
+        Some(Kind::Report | Kind::Series) | None => load(path),
     };
+    let (a, b) = (load_kind(&opts.a)?, load_kind(&opts.b)?);
     if a.kind != b.kind {
         return Err(format!(
             "{} is a {} export but {} is a {} export",
@@ -1056,19 +892,11 @@ fn run(opts: &Options) -> Result<bool, String> {
         }
         eprintln!("mmm-inspect: {msg}\nmmm-inspect: --force given, comparing anyway");
     }
-    let (rows, skipped) = if opts.profile {
-        compare_profiles(&a, &b, opts)
-    } else if opts.faults {
-        compare_faults(&a, &b, opts)
-    } else {
-        compare(&a, &b, opts)
-    };
+    let (rows, skipped) = compare(&a, &b, opts);
     if opts.json {
         print_json(&rows, skipped, opts, a.kind);
-    } else if opts.profile {
-        print_profile_human(&rows, skipped, opts);
-    } else if opts.faults {
-        print_faults_human(&rows, skipped, opts);
+    } else if a.kind.shares() {
+        print_shares_human(&rows, skipped, opts, a.kind);
     } else {
         print_human(&rows, skipped, opts, a.kind);
     }
@@ -1091,5 +919,118 @@ fn main() -> ExitCode {
             eprintln!("mmm-inspect: {e}");
             ExitCode::from(2)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One profile-export line with the given phase shares (a JSON
+    /// object body) and skip efficiency.
+    fn profile_line(run: u64, config: &str, shares: &str, skip_efficiency: &str) -> String {
+        format!(
+            "{{\"run\":{run},\"config\":\"{config}\",\"benchmark\":\"OLTP\",\
+             \"scheduler\":\"gang\",\"threads\":16,\"cycles\":1000,\"profile\":\
+             {{\"total_nanos\":5000,\"phase_nanos\":{{}},\"phase_shares\":{{{shares}}},\
+             \"wheel\":{{\"wake_hits\":{{\"slice\":3}},\"ticks\":10,\"advanced_cycles\":40,\
+             \"skipped_cycles\":30,\"skip_efficiency\":{skip_efficiency}}}}}}}"
+        )
+    }
+
+    fn load_text(text: &str) -> Result<RunFile, String> {
+        let lines: Vec<Json> = text.lines().map(|l| Json::parse(l).unwrap()).collect();
+        profile_file("p.jsonl", &lines)
+    }
+
+    #[test]
+    fn profile_loader_prefixes_each_run() {
+        let text = [
+            profile_line(
+                0,
+                "Reunion",
+                "\"op_gen\":40,\"core_dispatch_commit\":60",
+                "0.75",
+            ),
+            profile_line(
+                1,
+                "No DMR",
+                "\"op_gen\":10.5,\"core_dispatch_commit\":89.5",
+                "0",
+            ),
+        ]
+        .join("\n");
+        let f = load_text(&text).unwrap();
+        assert_eq!(f.kind, Kind::Profile);
+        let id = |k: &str| {
+            f.identity
+                .iter()
+                .find(|(n, _)| n == k)
+                .map(|(_, v)| v.as_str())
+        };
+        assert_eq!(id("#0.config"), Some("Reunion"));
+        assert_eq!(id("#1.config"), Some("No DMR"));
+        assert_eq!(id("#1.threads"), Some("16"));
+        assert_eq!(f.identity.len(), 2 * RUN_IDENTITY.len());
+        assert_eq!(f.metrics["#0.op_gen"], 40.0);
+        assert_eq!(f.metrics["#1.core_dispatch_commit"], 89.5);
+        assert_eq!(f.metrics["#0.wheel.skip_efficiency"], 0.75);
+        assert_eq!(f.metrics["#1.wheel.wake_hits.slice"], 3.0);
+        assert_eq!(f.metrics["#1.wheel.skipped_cycles"], 30.0);
+        assert!(Kind::Profile.gates("#0.op_gen"));
+        assert!(!Kind::Profile.gates("#0.wheel.ticks"));
+        let one = load_text(&profile_line(0, "Reunion", "\"op_gen\":100", "1")).unwrap();
+        assert_eq!(one.metrics["op_gen"], 100.0, "a single run has no prefix");
+    }
+
+    #[test]
+    fn profile_loader_rejects_malformed_profiles() {
+        let good = "\"op_gen\":40,\"core_dispatch_commit\":60";
+        for (text, why) in [
+            (
+                profile_line(0, "R", "\"op_gen\":30,\"core_dispatch_commit\":60", "0.5"),
+                "sum to 90.000",
+            ),
+            (
+                profile_line(0, "R", "\"op_gen\":-10,\"core_dispatch_commit\":110", "0.5"),
+                "phase share op_gen is -10",
+            ),
+            (profile_line(0, "R", good, "1.5"), "skip_efficiency is 1.5"),
+            (
+                profile_line(0, "R", good, "0.5").replace("phase_shares", "shares"),
+                "no \"phase_shares\"",
+            ),
+        ] {
+            let err = load_text(&text).err().expect(why);
+            assert!(err.contains(why), "{err:?} lacks {why:?}");
+        }
+        let empty_window = profile_line(0, "R", "\"op_gen\":0", "0").replace("5000", "0");
+        assert!(
+            load_text(&empty_window).is_ok(),
+            "an empty window sums to 0"
+        );
+    }
+
+    #[test]
+    fn the_kind_word_sets_the_default_threshold() {
+        let parse = |s: &str| parse_args(&s.split(' ').map(String::from).collect::<Vec<_>>());
+        let o = parse("a.jsonl b.jsonl").unwrap();
+        assert_eq!((o.kind, o.threshold), (None, 0.15));
+        let o = parse("profile a b").unwrap();
+        assert_eq!(
+            (o.kind, o.threshold, o.a.as_str()),
+            (Some(Kind::Profile), 5.0, "a")
+        );
+        assert_eq!(parse("campaign a b").unwrap().threshold, 0.0);
+        let o = parse("faults a b --threshold 0.1").unwrap();
+        assert_eq!((o.kind, o.threshold), (Some(Kind::Faults), 0.1));
+        let o = parse("a profile").unwrap();
+        assert_eq!(
+            (o.kind, o.b.as_str()),
+            (None, "profile"),
+            "a kind word only leads"
+        );
+        assert!(parse("profile faults a b").is_err());
+        assert!(parse("a b --down").is_err(), "unknown flags are refused");
     }
 }

@@ -11,14 +11,18 @@
 //!   recorder attached and writes `results/<bin>.trace.json` in Chrome
 //!   trace-event format (per-core mode/event timelines plus metrics
 //!   counter tracks, viewable at <https://ui.perfetto.dev>) and
-//!   `results/<bin>.metrics.jsonl`, the sampled metrics time-series.
+//!   `results/<bin>.metrics.jsonl`, the sampled metrics time-series;
+//! * when the reports carry a self-profile (`MMM_PROFILE=1`), writes
+//!   `results/<bin>.profile.jsonl`, one line per report, and
+//!   `results/<bin>.speedscope.json`, one speedscope profile per run.
 
 use std::fs;
 use std::path::Path;
 
 use mmm_core::{RunResult, System, Workload};
 use mmm_trace::{
-    chrome_trace_full, chrome_trace_with_counters, Forensics, Sampler, Tracer, FORENSICS_WINDOW,
+    chrome_trace_full, chrome_trace_with_counters, speedscope, Forensics, Json, ProfileReport,
+    Sampler, Tracer, FORENSICS_WINDOW,
 };
 use mmm_types::SystemConfig;
 
@@ -109,6 +113,13 @@ pub struct JsonExport {
     /// whose `run` index pairs it with the same-index line of the main
     /// JSONL, followed by one line per fault record.
     fault_lines: Vec<String>,
+    /// Profile JSONL lines, one per report that carries a
+    /// [`mmm_core::SystemReport::profile`] (runs under
+    /// `MMM_PROFILE=1`): the report's `run` index and identity fields,
+    /// and its profile as [`ProfileReport::to_json`] renders it.
+    profile_lines: Vec<String>,
+    /// The same profiles, named by run, for the speedscope document.
+    profiles: Vec<(String, ProfileReport)>,
 }
 
 impl JsonExport {
@@ -118,20 +129,35 @@ impl JsonExport {
             name,
             lines: Vec::new(),
             fault_lines: Vec::new(),
+            profile_lines: Vec::new(),
+            profiles: Vec::new(),
         }
     }
 
     /// Adds every per-seed report of a run as one JSONL line each,
-    /// harvesting its forensics records (if any) into the side
-    /// `*.faults.jsonl` stream.
+    /// harvesting its forensics records and its profile (if any) into
+    /// the side `*.faults.jsonl` and `*.profile.jsonl` streams.
     pub fn add(&mut self, run: &RunResult) {
         for r in &run.reports {
+            let index = self.lines.len() as u64;
             if let Some(f) = &r.forensics {
-                self.fault_lines.extend(f.jsonl(
-                    self.lines.len() as u64,
-                    r.config,
-                    r.benchmark,
-                    r.scheduler,
+                self.fault_lines
+                    .extend(f.jsonl(index, r.config, r.benchmark, r.scheduler));
+            }
+            if let Some(p) = &r.profile {
+                let line = Json::obj([
+                    ("run", Json::U64(index)),
+                    ("config", Json::str(r.config)),
+                    ("benchmark", Json::str(r.benchmark)),
+                    ("scheduler", Json::str(r.scheduler)),
+                    ("threads", Json::U64(r.threads)),
+                    ("cycles", Json::U64(r.cycles)),
+                    ("profile", p.to_json()),
+                ]);
+                self.profile_lines.push(line.render());
+                self.profiles.push((
+                    format!("#{index} {} / {}", r.config, r.benchmark),
+                    p.clone(),
                 ));
             }
             self.lines.push(r.to_json());
@@ -142,9 +168,10 @@ impl JsonExport {
     /// `results/<bin>.jsonl`, `results/<bin>.trace.json`, and
     /// `results/<bin>.metrics.jsonl` (pass the artifacts from
     /// [`traced_run`]), plus `results/<bin>.faults.jsonl` when any
-    /// report carried forensics records. File-system errors are
-    /// reported on stderr but never fail the run — stdout already
-    /// carries the data.
+    /// report carried forensics records and `results/<bin>.profile.jsonl`
+    /// with `results/<bin>.speedscope.json` when any carried a profile.
+    /// File-system errors are reported on stderr but never fail the
+    /// run — stdout already carries the data.
     pub fn finish(self, traced: &TracedRun) {
         for line in &self.lines {
             println!("{line}");
@@ -176,6 +203,22 @@ impl JsonExport {
                 eprintln!("wrote {}", faults_path.display());
             }
         }
+        if !self.profiles.is_empty() {
+            let profile_path = dir.join(format!("{}.profile.jsonl", self.name));
+            let scope_path = dir.join(format!("{}.speedscope.json", self.name));
+            let profiles = self.profile_lines.join("\n") + "\n";
+            if let Err(e) = fs::write(&profile_path, profiles) {
+                eprintln!("{}: {e}", profile_path.display());
+            }
+            if let Err(e) = fs::write(&scope_path, speedscope(self.name, &self.profiles)) {
+                eprintln!("{}: {e}", scope_path.display());
+            }
+            eprintln!(
+                "wrote {} and {} (open at https://www.speedscope.app)",
+                profile_path.display(),
+                scope_path.display()
+            );
+        }
         eprintln!(
             "wrote {}, {} and {}",
             jsonl_path.display(),
@@ -188,7 +231,54 @@ impl JsonExport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmm_core::Experiment;
     use mmm_workload::Benchmark;
+
+    #[test]
+    fn profiled_reports_export_one_profile_line_each() {
+        let e = Experiment {
+            warmup: 2_000,
+            measure: 10_000,
+            seeds: vec![1, 2],
+            profile: true,
+            ..Experiment::default()
+        };
+        let profiled = e
+            .run_workload(Workload::ReunionDmr(Benchmark::Apache))
+            .unwrap();
+        let mut plain = profiled.clone();
+        for r in &mut plain.reports {
+            r.profile = None;
+        }
+        let mut export = JsonExport::new("unit");
+        export.add(&plain);
+        export.add(&profiled);
+        assert_eq!(export.lines.len(), 4);
+        assert_eq!(
+            export.profile_lines.len(),
+            2,
+            "one line per profiled report"
+        );
+        for (line, run) in export.profile_lines.iter().zip(2u64..) {
+            let line = Json::parse(line).unwrap();
+            let report = Json::parse(&export.lines[run as usize]).unwrap();
+            assert_eq!(line.get("run").and_then(Json::as_u64), Some(run));
+            for key in ["config", "benchmark", "scheduler", "threads", "cycles"] {
+                assert_eq!(line.get(key), report.get(key), "{key}");
+            }
+            let shares = line.get("profile").and_then(|p| p.get("phase_shares"));
+            assert!(shares.and_then(Json::as_obj).is_some_and(|s| !s.is_empty()));
+        }
+        let doc = Json::parse(&speedscope(export.name, &export.profiles)).unwrap();
+        let names: Vec<&str> = doc
+            .get("profiles")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .filter_map(|p| p.get("name").and_then(Json::as_str))
+            .collect();
+        assert_eq!(names, ["#2 Reunion / Apache", "#3 Reunion / Apache"]);
+    }
 
     #[test]
     fn traced_run_is_deterministic_and_perfetto_shaped() {

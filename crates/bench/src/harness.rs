@@ -1,10 +1,11 @@
 //! A tiny self-contained micro-benchmark harness.
 //!
-//! The build is offline, so the `benches/` targets cannot use
-//! criterion; this module provides the minimum that replaces it:
-//! warmup, repeated timed batches, and a median-of-batches report in
-//! ns/iteration. Batches amortize timer overhead; the median resists
-//! scheduler noise. Output is one self-describing line per benchmark.
+//! The build is offline, so `mmm-benchmark`'s isolated layer drives
+//! cannot use criterion; this module provides the minimum that
+//! replaces it: warmup, repeated timed batches, and a
+//! median-of-batches report in ns/iteration. Batches amortize timer
+//! overhead; the median resists scheduler noise. Output is one
+//! self-describing line per benchmark.
 
 pub use std::hint::black_box;
 use std::time::Instant;

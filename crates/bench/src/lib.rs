@@ -13,7 +13,6 @@ use mmm_core::{Experiment, RunResult};
 pub mod campaign;
 pub mod export;
 pub mod harness;
-pub mod perf;
 
 /// Builds the harness experiment template: `MMM_*` env overrides on
 /// top of the given defaults (sized per figure so cache state reaches
@@ -57,8 +56,8 @@ pub fn mean_of(run: &RunResult, f: impl Fn(&mmm_core::SystemReport) -> f64) -> f
     run.metric(f).0
 }
 
-/// FNV-1a 64 of `bytes` as 16 hex digits: the fingerprint that
-/// campaign checkpoints and perf baselines carry.
+/// FNV-1a 64 of `bytes` as 16 hex digits: the manifest fingerprint
+/// that campaign checkpoints carry.
 pub(crate) fn fnv1a64_hex(bytes: &[u8]) -> String {
     let h = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)

@@ -103,8 +103,8 @@ pub struct SystemReport {
     /// (`None` unless a profiler was attached). Host-dependent, like
     /// `wall_seconds`: deliberately excluded from
     /// [`SystemReport::to_json`] so golden reports stay bit-identical
-    /// with profiling on or off; exported separately via the bench
-    /// harness.
+    /// with profiling on or off; exported separately as
+    /// `*.profile.jsonl`.
     pub profile: Option<ProfileReport>,
     /// Per-injection fault forensics over the measured period (`None`
     /// unless a forensics recorder was attached). Like `series` and
@@ -384,7 +384,7 @@ pub struct System {
     vcpus: Vec<Vcpu>,
     /// Active DMR pairs by pair slot (slot p = cores 2p, 2p+1).
     pairs: Vec<Option<DmrPair>>,
-    pat: Rc<RefCell<Pat>>,
+    pat: Pat,
     pabs: Vec<Rc<RefCell<Pab>>>,
     engine: TransitionEngine,
     injector: Option<FaultInjector>,
@@ -509,7 +509,7 @@ impl System {
             mem,
             vcpus,
             pairs: (0..cfg.pairs()).map(|_| None).collect(),
-            pat: Rc::new(RefCell::new(pat)),
+            pat,
             pabs,
             engine: TransitionEngine::new(cfg.virt, cfg.reunion),
             injector: None,
@@ -1456,16 +1456,14 @@ impl System {
                 } else {
                     0
                 };
-                let pat = self.pat.borrow();
                 let (ready, verdict) = crate::pab::check_store(
                     &self.pabs[core.index()],
                     core,
                     line,
-                    &pat,
+                    &self.pat,
                     &mut self.mem,
                     now,
                 );
-                drop(pat);
                 if self.forensics.is_on() {
                     let hit = self.pabs[core.index()].borrow().stats().hits > pab_hits_before;
                     let lookup = if hit { "hit" } else { "miss" };

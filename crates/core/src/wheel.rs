@@ -33,11 +33,13 @@
 //! population a fixed slot array beats both a binary heap (whose
 //! sift costs exceed a four-way min) and a hierarchical wheel (whose
 //! cascade bookkeeping is pure overhead when every deadline is
-//! rewritten each tick) — measured on the `perf_fault_smoke` /
-//! `perf_smoke` configurations, the slot array is the only variant
-//! whose maintenance cost stays invisible in profiles. The type keeps
-//! the wheel *interface* (schedule / cancel / next-event) so a larger
-//! population can swap the representation without touching callers.
+//! rewritten each tick) — measured on Reunion/OLTP with and without
+//! fault injection and on single-OS/Apache (the configurations of
+//! `mmm-benchmark`'s `dmr_oltp_faults` and `singleos_apache`), the
+//! slot array is the only variant whose maintenance cost stays
+//! invisible in profiles. The type keeps the wheel *interface*
+//! (schedule / cancel / next-event) so a larger population can swap
+//! the representation without touching callers.
 
 use mmm_types::Cycle;
 

@@ -17,8 +17,8 @@
 //!   default and free when off.
 //! * **Self-profiler** — a [`Profiler`] of scoped timers attributing
 //!   *host* wall-time to named hot-loop phases ([`ProfPhase`]), plus
-//!   wheel/skip introspection counters, exportable as a `profile`
-//!   JSON section or a speedscope file. Off by default; one branch
+//!   wheel/skip introspection counters, exportable as one JSON object
+//!   per run or as a speedscope file. Off by default; one branch
 //!   per probe when off, and purely observational when on.
 //! * **Fault forensics** — a [`Forensics`] recorder giving every
 //!   injected fault a causal lifecycle record ([`FaultRecord`]):
@@ -65,6 +65,6 @@ pub use forensics::{
 };
 pub use json::Json;
 pub use metrics::MetricsRegistry;
-pub use profile::{ProfPhase, ProfScope, ProfileReport, Profiler};
+pub use profile::{speedscope, ProfPhase, ProfScope, ProfileReport, Profiler};
 pub use sampler::{MetricsSample, MetricsSeries, Sampler};
 pub use sink::{NullSink, RingSink, TraceSink, Tracer};

@@ -415,9 +415,10 @@ impl ProfileReport {
         ])
     }
 
-    /// The `profile` section embedded in `BENCH_*.json`: phase nanos
-    /// and shares plus the wheel introspection block
-    /// (`validate_bench.py` checks this shape).
+    /// One run's profile as JSON: phase nanos and shares plus the
+    /// wheel introspection block (the `profile` object of each
+    /// `results/<bin>.profile.jsonl` line, whose shape `mmm-inspect
+    /// profile` checks).
     pub fn to_json(&self) -> Json {
         let nanos: Vec<(&str, Json)> = self
             .phase_nanos
@@ -452,49 +453,52 @@ impl ProfileReport {
             ),
         ])
     }
+}
 
-    /// Renders the profile in the speedscope JSON file format
-    /// (`"type": "sampled"`, one single-frame sample per phase,
-    /// weights in nanoseconds). Open at <https://www.speedscope.app>
-    /// or with `speedscope <file>`.
-    pub fn to_speedscope(&self, name: &str) -> String {
-        let frames: Vec<Json> = self
-            .phase_nanos
-            .iter()
-            .map(|(l, _)| Json::obj([("name", Json::str(*l))]))
-            .collect();
-        let mut samples = Vec::new();
-        let mut weights = Vec::new();
-        for (i, (_, n)) in self.phase_nanos.iter().enumerate() {
-            if *n > 0 {
-                samples.push(Json::Arr(vec![Json::U64(i as u64)]));
-                weights.push(Json::U64(*n));
+/// Renders profiled runs as one speedscope document (the JSON file
+/// format of <https://www.speedscope.app>): one `"sampled"` profile per
+/// `(name, report)`, with one single-frame sample per non-empty phase,
+/// weighted in nanoseconds. Open it at <https://www.speedscope.app> or
+/// with `speedscope <file>`.
+pub fn speedscope(name: &str, runs: &[(String, ProfileReport)]) -> String {
+    let frames: Vec<Json> = ProfPhase::ALL
+        .iter()
+        .map(|p| Json::obj([("name", Json::str(p.label()))]))
+        .collect();
+    let profiles = runs
+        .iter()
+        .map(|(run, report)| {
+            let mut samples = Vec::new();
+            let mut weights = Vec::new();
+            for (i, (_, n)) in report.phase_nanos.iter().enumerate() {
+                if *n > 0 {
+                    samples.push(Json::Arr(vec![Json::U64(i as u64)]));
+                    weights.push(Json::U64(*n));
+                }
             }
-        }
-        Json::obj([
-            (
-                "$schema",
-                Json::str("https://www.speedscope.app/file-format-schema.json"),
-            ),
-            ("name", Json::str(name)),
-            ("activeProfileIndex", Json::U64(0)),
-            ("exporter", Json::str("mmm-profile")),
-            ("shared", Json::obj([("frames", Json::Arr(frames))])),
-            (
-                "profiles",
-                Json::Arr(vec![Json::obj([
-                    ("type", Json::str("sampled")),
-                    ("name", Json::str(name)),
-                    ("unit", Json::str("nanoseconds")),
-                    ("startValue", Json::U64(0)),
-                    ("endValue", Json::U64(self.total_nanos)),
-                    ("samples", Json::Arr(samples)),
-                    ("weights", Json::Arr(weights)),
-                ])]),
-            ),
-        ])
-        .render()
-    }
+            Json::obj([
+                ("type", Json::str("sampled")),
+                ("name", Json::str(run.as_str())),
+                ("unit", Json::str("nanoseconds")),
+                ("startValue", Json::U64(0)),
+                ("endValue", Json::U64(report.total_nanos)),
+                ("samples", Json::Arr(samples)),
+                ("weights", Json::Arr(weights)),
+            ])
+        })
+        .collect();
+    Json::obj([
+        (
+            "$schema",
+            Json::str("https://www.speedscope.app/file-format-schema.json"),
+        ),
+        ("name", Json::str(name)),
+        ("activeProfileIndex", Json::U64(0)),
+        ("exporter", Json::str("mmm-profile")),
+        ("shared", Json::obj([("frames", Json::Arr(frames))])),
+        ("profiles", Json::Arr(profiles)),
+    ])
+    .render()
 }
 
 #[cfg(test)]
@@ -682,7 +686,7 @@ mod tests {
             spin();
         }
         p.end();
-        let text = p.report().unwrap().to_speedscope("unit-test");
+        let text = speedscope("unit-test", &[("#0".to_string(), p.report().unwrap())]);
         let parsed = Json::parse(&text).expect("speedscope json parses");
         assert_eq!(
             parsed.get("$schema").and_then(Json::as_str),

@@ -376,8 +376,9 @@ impl PowerLawSampler {
         }
     }
 
-    /// Builds the reference-path sampler unconditionally (for tests
-    /// and benchmarks that compare the two arms).
+    /// Builds the reference-path sampler unconditionally, for the
+    /// tests that compare the two arms.
+    #[cfg(test)]
     pub fn reference(n: u64, skew: f64) -> Self {
         Self::Reference(PowerLaw::new(n, skew))
     }
