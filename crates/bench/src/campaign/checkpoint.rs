@@ -252,9 +252,9 @@ pub fn validate_record(
     Ok(id)
 }
 
-/// Scans the campaign directory for valid completed-cell records.
-/// Unreadable or foreign files are hard errors — resuming over a
-/// half-trusted directory silently corrupts the aggregate.
+/// Scans the campaign directory for valid completed-cell records, in
+/// id order. Unreadable, foreign or duplicate records are hard errors —
+/// resuming over a half-trusted directory corrupts the aggregate.
 pub fn scan_records(
     dir: &Path,
     manifest: &Manifest,
@@ -287,7 +287,9 @@ pub fn scan_records(
         out.push(CellRecord { id, doc });
     }
     out.sort_by_key(|r| r.id);
-    out.dedup_by_key(|r| r.id);
+    if let Some(w) = out.windows(2).find(|w| w[0].id == w[1].id) {
+        return Err(format!("two records of cell {}", w[0].id));
+    }
     Ok(out)
 }
 
@@ -352,6 +354,12 @@ mod tests {
         let recs = scan_records(&dir, &manifest, &hash, 2).unwrap();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].id, 1);
+
+        // So is a second record of one cell.
+        fs::copy(cell_path(&dir, 1), dir.join("cells").join("cell-1.json")).unwrap();
+        let err = scan_records(&dir, &manifest, &hash, 2).unwrap_err();
+        assert!(err.contains("two records of cell 1"), "{err}");
+        fs::remove_file(dir.join("cells").join("cell-1.json")).unwrap();
 
         // A record from a different manifest is a hard error.
         let other = Manifest::parse(r#"{"name":"t","grid":{"cores":[4]}}"#).unwrap();

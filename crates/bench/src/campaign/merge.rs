@@ -59,7 +59,7 @@ pub fn pareto_frontier(rows: &[AggregateRow]) -> Vec<usize> {
 }
 
 /// Builds the aggregate document from validated records (already
-/// sorted and deduplicated by [`super::checkpoint::scan_records`]).
+/// sorted, one per cell, by [`super::checkpoint::scan_records`]).
 pub fn build_aggregate(
     manifest: &Manifest,
     hash: &str,

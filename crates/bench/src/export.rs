@@ -4,8 +4,7 @@
 //! instead:
 //!
 //! * prints one JSON object per `(workload, seed)` report to stdout
-//!   (JSONL — pipe into `scripts/validate_trace.py` or any analysis
-//!   tool);
+//!   (JSONL, for any analysis tool);
 //! * writes the same lines to `results/<bin>.jsonl`;
 //! * performs one short, deterministic traced run with the flight
 //!   recorder attached and writes `results/<bin>.trace.json` in Chrome
@@ -15,9 +14,12 @@
 //! * when the reports carry a self-profile (`MMM_PROFILE=1`), writes
 //!   `results/<bin>.profile.jsonl`, one line per report, and
 //!   `results/<bin>.speedscope.json`, one speedscope profile per run.
+//!
+//! `mmm-inspect` checks the JSONL files as it loads them; this module's
+//! tests check the trace.
 
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use mmm_core::{RunResult, System, Workload};
 use mmm_trace::{
@@ -103,6 +105,20 @@ pub fn traced_run(
     }
 }
 
+/// `<dir>/<bin>.<suffix>`: where [`JsonExport::write`] puts each of a
+/// bin's exports.
+fn export_path(dir: &Path, bin: &str, suffix: &str) -> PathBuf {
+    dir.join(format!("{bin}.{suffix}"))
+}
+
+/// The report export written beside a forensics export:
+/// `<dir>/<bin>.jsonl` for `<dir>/<bin>.faults.jsonl`.
+pub fn paired_report(faults: &Path) -> Option<PathBuf> {
+    let name = faults.file_name()?.to_str()?;
+    let bin = name.strip_suffix(".faults.jsonl")?;
+    Some(export_path(faults.parent()?, bin, "jsonl"))
+}
+
 /// Collects JSONL report lines and writes a bin's export artifacts.
 pub struct JsonExport {
     name: &'static str,
@@ -164,26 +180,29 @@ impl JsonExport {
         }
     }
 
-    /// Prints the collected JSONL to stdout and writes
-    /// `results/<bin>.jsonl`, `results/<bin>.trace.json`, and
-    /// `results/<bin>.metrics.jsonl` (pass the artifacts from
-    /// [`traced_run`]), plus `results/<bin>.faults.jsonl` when any
-    /// report carried forensics records and `results/<bin>.profile.jsonl`
-    /// with `results/<bin>.speedscope.json` when any carried a profile.
-    /// File-system errors are reported on stderr but never fail the
-    /// run — stdout already carries the data.
+    /// Prints the collected JSONL to stdout and [writes](Self::write)
+    /// the exports to `results/`.
     pub fn finish(self, traced: &TracedRun) {
         for line in &self.lines {
             println!("{line}");
         }
-        let dir = Path::new("results");
+        self.write(Path::new("results"), traced);
+    }
+
+    /// Writes `<bin>.jsonl`, `<bin>.trace.json` and `<bin>.metrics.jsonl`
+    /// (pass the artifacts from [`traced_run`]) into `dir`, plus
+    /// `<bin>.faults.jsonl` when any report carried forensics records and
+    /// `<bin>.profile.jsonl` with `<bin>.speedscope.json` when any carried
+    /// a profile. File-system errors are reported on stderr but never
+    /// fail the run.
+    pub fn write(&self, dir: &Path, traced: &TracedRun) {
         if let Err(e) = fs::create_dir_all(dir) {
-            eprintln!("results/: {e}");
+            eprintln!("{}: {e}", dir.display());
             return;
         }
-        let jsonl_path = dir.join(format!("{}.jsonl", self.name));
-        let trace_path = dir.join(format!("{}.trace.json", self.name));
-        let metrics_path = dir.join(format!("{}.metrics.jsonl", self.name));
+        let jsonl_path = export_path(dir, self.name, "jsonl");
+        let trace_path = export_path(dir, self.name, "trace.json");
+        let metrics_path = export_path(dir, self.name, "metrics.jsonl");
         let jsonl = self.lines.join("\n") + "\n";
         if let Err(e) = fs::write(&jsonl_path, jsonl) {
             eprintln!("{}: {e}", jsonl_path.display());
@@ -195,7 +214,7 @@ impl JsonExport {
             eprintln!("{}: {e}", metrics_path.display());
         }
         if !self.fault_lines.is_empty() {
-            let faults_path = dir.join(format!("{}.faults.jsonl", self.name));
+            let faults_path = export_path(dir, self.name, "faults.jsonl");
             let faults = self.fault_lines.join("\n") + "\n";
             if let Err(e) = fs::write(&faults_path, faults) {
                 eprintln!("{}: {e}", faults_path.display());
@@ -204,8 +223,8 @@ impl JsonExport {
             }
         }
         if !self.profiles.is_empty() {
-            let profile_path = dir.join(format!("{}.profile.jsonl", self.name));
-            let scope_path = dir.join(format!("{}.speedscope.json", self.name));
+            let profile_path = export_path(dir, self.name, "profile.jsonl");
+            let scope_path = export_path(dir, self.name, "speedscope.json");
             let profiles = self.profile_lines.join("\n") + "\n";
             if let Err(e) = fs::write(&profile_path, profiles) {
                 eprintln!("{}: {e}", profile_path.display());
@@ -231,8 +250,151 @@ impl JsonExport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmm_core::Experiment;
+    use std::collections::BTreeMap;
+
+    use mmm_core::{Experiment, MixedPolicy};
     use mmm_workload::Benchmark;
+
+    /// Checks a Chrome trace-event document as Perfetto loads it: a
+    /// non-empty `traceEvents` array of objects with `ph` and `pid`, and
+    /// `ts` on all but metadata (`M`) events; complete (`X`) slices with
+    /// an integer `dur`, at least one of them a per-core mode slice (an
+    /// even `tid`); counter (`C`) events with a name, an integer `ts`
+    /// that never goes back per name, and a numeric `args.value`.
+    /// Returns the counts of mode slices and counter events.
+    fn check_trace(doc: &Json) -> Result<(usize, usize), String> {
+        let events = doc.get("traceEvents").and_then(Json::as_arr);
+        let events = events.filter(|e| !e.is_empty()).ok_or("no traceEvents")?;
+        let (mut slices, mut counters) = (0, 0);
+        let mut last_ts: BTreeMap<&str, u64> = BTreeMap::new();
+        for (i, ev) in events.iter().enumerate() {
+            let ph = ev
+                .get("ph")
+                .and_then(Json::as_str)
+                .ok_or(format!("event {i}: no ph"))?;
+            ev.get("pid").ok_or(format!("event {i}: no pid"))?;
+            if ph != "M" && ev.get("ts").is_none() {
+                return Err(format!("event {i}: no ts"));
+            }
+            if ph == "X" {
+                let dur = ev.get("dur").and_then(Json::as_u64);
+                dur.ok_or(format!("slice {i}: no integer dur"))?;
+                slices += usize::from(ev.get("tid").and_then(Json::as_u64).unwrap_or(1) % 2 == 0);
+            }
+            if ph == "C" {
+                let name = ev
+                    .get("name")
+                    .and_then(Json::as_str)
+                    .filter(|n| !n.is_empty());
+                let name = name.ok_or(format!("counter {i}: no name"))?;
+                let ts = ev.get("ts").and_then(Json::as_u64);
+                let ts = ts.ok_or(format!("counter {i}: no integer ts"))?;
+                if ts < last_ts.get(name).copied().unwrap_or(0) {
+                    return Err(format!("counter {name}: ts goes back at event {i}"));
+                }
+                last_ts.insert(name, ts);
+                let value = ev.get("args").and_then(|a| a.get("value")?.as_f64());
+                value.ok_or(format!("counter {i}: no numeric value"))?;
+                counters += 1;
+            }
+        }
+        if slices == 0 {
+            return Err("no per-core mode slices".to_string());
+        }
+        Ok((slices, counters))
+    }
+
+    /// Sets `key` of an object's `pairs` to `value`.
+    fn set(pairs: &mut Vec<(String, Json)>, key: &str, value: Json) {
+        pairs.retain(|(k, _)| k != key);
+        pairs.push((key.to_string(), value));
+    }
+
+    /// `doc` with `f` applied to every event whose `ph` is `ph` (the
+    /// first such event only, with `first`).
+    fn broken(doc: &Json, ph: &str, first: bool, f: fn(&mut Vec<(String, Json)>)) -> Json {
+        let mut doc = doc.clone();
+        let Json::Obj(top) = &mut doc else { panic!() };
+        let Json::Arr(events) = &mut top[0].1 else {
+            panic!()
+        };
+        let picked = events
+            .iter_mut()
+            .filter(|e| e.get("ph") == Some(&Json::str(ph)));
+        for ev in picked.take(if first { 1 } else { usize::MAX }) {
+            let Json::Obj(pairs) = ev else { panic!() };
+            f(pairs);
+        }
+        doc
+    }
+
+    #[test]
+    fn exported_traces_are_well_formed() {
+        let cfg = SystemConfig::default();
+        // The traced run fig5 exports, and fault_coverage's forensics
+        // variant.
+        let fig5 = traced_run(&cfg, Workload::ReunionDmr(Benchmark::Oltp), 1, None, false);
+        let mut fc_cfg = cfg.clone();
+        fc_cfg.virt.timeslice_cycles = 30_000;
+        let w = Workload::Consolidated {
+            bench: Benchmark::Pgoltp,
+            policy: MixedPolicy::MmmTp,
+        };
+        let fault_coverage = traced_run(&fc_cfg, w, 1, Some(1e-5), true);
+        for run in [&fig5, &fault_coverage] {
+            let (slices, counters) = check_trace(&Json::parse(&run.trace_json).unwrap()).unwrap();
+            assert!(slices > 0 && counters > 0);
+        }
+        let good = Json::parse(&fig5.trace_json).unwrap();
+        let cases: [(&str, Json); 10] = [
+            (
+                "no traceEvents",
+                Json::obj([("traceEvents", Json::Arr(vec![]))]),
+            ),
+            (
+                "no ph",
+                broken(&good, "X", true, |p| p.retain(|(k, _)| k != "ph")),
+            ),
+            (
+                "no pid",
+                broken(&good, "X", true, |p| p.retain(|(k, _)| k != "pid")),
+            ),
+            (
+                "no ts",
+                broken(&good, "X", true, |p| p.retain(|(k, _)| k != "ts")),
+            ),
+            (
+                "no integer dur",
+                broken(&good, "X", true, |p| set(p, "dur", Json::I64(-1))),
+            ),
+            (
+                "no per-core mode slices",
+                broken(&good, "X", false, |p| set(p, "tid", Json::U64(1))),
+            ),
+            (
+                "no name",
+                broken(&good, "C", true, |p| p.retain(|(k, _)| k != "name")),
+            ),
+            (
+                "no integer ts",
+                broken(&good, "C", true, |p| set(p, "ts", Json::F64(0.5))),
+            ),
+            (
+                "ts goes back",
+                broken(&good, "C", true, |p| set(p, "ts", Json::U64(u64::MAX))),
+            ),
+            (
+                "no numeric value",
+                broken(&good, "C", true, |p| set(p, "args", Json::obj([]))),
+            ),
+        ];
+        for (why, doc) in cases {
+            let err = check_trace(&doc)
+                .err()
+                .unwrap_or_else(|| panic!("accepted: {why}"));
+            assert!(err.contains(why), "{err:?} does not name {why:?}");
+        }
+    }
 
     #[test]
     fn profiled_reports_export_one_profile_line_each() {

@@ -31,6 +31,35 @@ use crate::sink::{RingSink, TraceSink};
 /// Black-box depth: events retained per core for escape dumps.
 pub const FORENSICS_WINDOW: usize = 32;
 
+/// The `kind` of a faults export's run-header line.
+pub const FAULTS_RUN_KIND: &str = "mmm-faults-run";
+
+/// The keys of a run-header line, as [`ForensicsReport::jsonl`] writes them.
+pub const FAULTS_RUN_KEYS: [&str; 6] =
+    ["kind", "run", "config", "benchmark", "scheduler", "records"];
+
+/// The `kind` of a fault-record line.
+pub const FAULT_KIND: &str = "fault";
+
+/// The keys of every fault-record line, as [`FaultRecord::to_json`] writes them.
+pub const FAULT_RECORD_KEYS: [&str; 13] = [
+    "kind", "run", "id", "at", "core", "site", "mode", "verdict", "latency", "reason", "pages",
+    "chain", "blackbox",
+];
+
+/// Every [`FaultVerdict::label`].
+pub const FAULT_VERDICTS: [&str; 6] = [
+    "detected_by_dmr",
+    "detected_by_pab",
+    "detected_by_enter_dmr",
+    "masked",
+    "escaped",
+    "pending",
+];
+
+/// The core roles a record's `mode` names.
+pub const FAULT_MODES: [&str; 4] = ["dmr_vocal", "dmr_mute", "perf", "idle"];
+
 /// Terminal classification of one injected fault. The variants map
 /// one-to-one onto the `fault.site.*` campaign counters: `Detected`
 /// records sum to `detected`, `Masked` to `masked`, `Escaped` to
@@ -155,7 +184,7 @@ impl FaultRecord {
             .map(|l| Json::obj([("at", Json::U64(l.at)), ("what", Json::str(l.what.clone()))]))
             .collect();
         Json::obj([
-            ("kind", Json::str("fault")),
+            ("kind", Json::str(FAULT_KIND)),
             ("run", Json::U64(run)),
             ("id", Json::U64(self.id)),
             ("at", Json::U64(self.at)),
@@ -202,7 +231,7 @@ impl ForensicsReport {
         let mut lines = Vec::with_capacity(self.records.len() + 1);
         lines.push(
             Json::obj([
-                ("kind", Json::str("mmm-faults-run")),
+                ("kind", Json::str(FAULTS_RUN_KIND)),
                 ("run", Json::U64(run)),
                 ("config", Json::str(config)),
                 ("benchmark", Json::str(benchmark)),
@@ -520,25 +549,38 @@ mod tests {
         assert_eq!(f.take_report().unwrap().records.len(), 1);
     }
 
+    /// The keys of a rendered line, in order.
+    fn keys(line: &str) -> Vec<String> {
+        let v = Json::parse(line).unwrap();
+        v.as_obj().unwrap().iter().map(|(k, _)| k.clone()).collect()
+    }
+
     #[test]
-    fn jsonl_is_schema_stable() {
+    fn jsonl_writes_the_declared_keys_and_labels() {
         let f = Forensics::enabled(1, 4);
-        let a = f.open(5, CoreId(0), "core_logic", "idle");
-        f.masked(a, "idle");
+        let ids: Vec<_> = (0..6)
+            .map(|i| f.open(5 + i, CoreId(0), "core_logic", FAULT_MODES[i as usize % 4]))
+            .collect();
+        f.detected(ids[0], "dmr", Some(3));
+        f.detected(ids[1], "pab", None);
+        f.detected(ids[2], "enter_dmr", Some(9));
+        f.masked(ids[3], "idle");
+        f.escaped(ids[4], vec![7]);
         let rep = f.take_report().unwrap();
         let lines = rep.jsonl(3, "MMM-TP", "oltp", "gang");
-        assert_eq!(lines.len(), 2);
+        assert_eq!(lines.len(), 7);
+        assert_eq!(keys(&lines[0]), FAULTS_RUN_KEYS);
         assert!(lines[0].contains("\"kind\":\"mmm-faults-run\""));
-        assert!(lines[0].contains("\"records\":1"));
-        let rec = Json::parse(&lines[1]).unwrap();
-        for key in [
-            "kind", "run", "id", "at", "core", "site", "mode", "verdict", "latency", "reason",
-            "pages", "chain", "blackbox",
-        ] {
-            assert!(rec.get(key).is_some(), "missing key {key}");
+        assert!(lines[0].contains("\"records\":6"));
+        let mut verdicts = Vec::new();
+        for line in &lines[1..] {
+            assert_eq!(keys(line), FAULT_RECORD_KEYS);
+            let rec = Json::parse(line).unwrap();
+            assert_eq!(rec.get("kind").unwrap().as_str(), Some(FAULT_KIND));
+            assert_eq!(rec.get("run").unwrap().as_u64(), Some(3));
+            verdicts.push(rec.get("verdict").unwrap().as_str().unwrap().to_string());
         }
-        assert_eq!(rec.get("verdict").unwrap().as_str(), Some("masked"));
-        assert_eq!(rec.get("run").unwrap().as_u64(), Some(3));
+        assert_eq!(verdicts, FAULT_VERDICTS, "one record per verdict label");
     }
 
     #[test]

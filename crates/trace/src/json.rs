@@ -39,13 +39,16 @@ impl Json {
     ///
     /// Integers without fraction/exponent parse as [`Json::U64`] /
     /// [`Json::I64`]; everything else numeric parses as [`Json::F64`].
-    /// Trailing non-whitespace after the value is an error. This is
-    /// the reader half of the offline (serde-free) JSON support and
-    /// exists for tools like `mmm-inspect` that load run exports back.
+    /// Trailing non-whitespace after the value is an error, and so is
+    /// nesting deeper than [`MAX_DEPTH`]. This is the reader half of
+    /// the offline (serde-free) JSON support and exists for tools like
+    /// `mmm-inspect` that load run exports back.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -165,6 +168,13 @@ impl Json {
     }
 }
 
+impl std::fmt::Display for Json {
+    /// Compact JSON, as [`Json::render`] writes it.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.render())
+    }
+}
+
 /// Appends `s` as a quoted, escaped JSON string.
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
@@ -193,10 +203,16 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// The deepest array/object nesting [`Json::parse`] accepts, far
+/// above the writers' deepest (under ten levels).
+pub const MAX_DEPTH: usize = 128;
+
 /// Recursive-descent JSON reader over the raw bytes.
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -234,11 +250,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
+                Err(format!("nesting deeper than {MAX_DEPTH}"))
+            }
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected byte at {}", self.pos)),
         }
+    }
+
+    /// Parses a container one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -331,13 +358,15 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // slicing at char boundaries is safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8")?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash
+                    // straight from the input: both are ASCII, so the
+                    // run ends on a char boundary.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(self.text.get(self.pos..end).ok_or("invalid utf-8")?);
+                    self.pos = end;
                 }
             }
         }
@@ -399,6 +428,12 @@ mod tests {
         assert_eq!(escape("ctrl\u{01}"), "\"ctrl\\u0001\"");
         // Unicode passes through unescaped (JSON strings are UTF-8).
         assert_eq!(escape("héllo"), "\"héllo\"");
+    }
+
+    #[test]
+    fn display_renders() {
+        let v = Json::obj([("a", Json::Arr(vec![Json::U64(1), Json::str("x")]))]);
+        assert_eq!(v.to_string(), v.render());
     }
 
     #[test]
@@ -497,6 +532,34 @@ mod tests {
         assert_eq!(Json::parse("[]").expect("empty array"), Json::Arr(vec![]));
         // Round trip preserves deep structure exactly.
         assert_eq!(Json::parse(&v.render()).expect("round trip"), v);
+    }
+
+    #[test]
+    fn long_and_non_ascii_strings_round_trip() {
+        let long: String = "héllo 😀 \"quoted\" \\ wörld\n".repeat(20_000);
+        let v = Json::obj([("k€y", Json::str(long.clone())), ("a", Json::str("ß"))]);
+        assert_eq!(Json::parse(&v.render()).expect("round trip"), v);
+        assert_eq!(
+            Json::parse(&escape(&long)).expect("long string"),
+            Json::Str(long)
+        );
+        assert_eq!(
+            Json::parse("\"日本\\u0041語\"").unwrap(),
+            Json::str("日本A語")
+        );
+    }
+
+    #[test]
+    fn parse_refuses_nesting_past_the_cap() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objects).is_err());
+        // Far past the cap, as a corrupted file might be: an error,
+        // not a stack overflow.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -61,10 +61,11 @@ pub use chrome::{
 };
 pub use event::{Event, SchedAction, TraceRecord, TransitionKind};
 pub use forensics::{
-    ChainLink, FaultRecord, FaultVerdict, Forensics, ForensicsReport, FORENSICS_WINDOW,
+    ChainLink, FaultRecord, FaultVerdict, Forensics, ForensicsReport, FAULTS_RUN_KEYS,
+    FAULTS_RUN_KIND, FAULT_KIND, FAULT_MODES, FAULT_RECORD_KEYS, FAULT_VERDICTS, FORENSICS_WINDOW,
 };
 pub use json::Json;
-pub use metrics::MetricsRegistry;
+pub use metrics::{MetricsRegistry, METRIC_SECTIONS};
 pub use profile::{speedscope, ProfPhase, ProfScope, ProfileReport, Profiler};
 pub use sampler::{MetricsSample, MetricsSeries, Sampler};
 pub use sink::{NullSink, RingSink, TraceSink, Tracer};

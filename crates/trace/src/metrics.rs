@@ -12,6 +12,9 @@ use mmm_types::stats::{Log2Histogram, RunningStat};
 
 use crate::json::Json;
 
+/// The sections of [`MetricsRegistry::to_json`], in order.
+pub const METRIC_SECTIONS: [&str; 4] = ["counters", "gauges", "histograms", "stats"];
+
 /// A flat, name-keyed registry of metrics.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
@@ -115,8 +118,8 @@ impl MetricsRegistry {
         }
     }
 
-    /// The registry as one JSON object, keys sorted, suitable for a
-    /// JSONL line or an export file.
+    /// The registry as one JSON object with the [`METRIC_SECTIONS`],
+    /// keys sorted, suitable for a JSONL line or an export file.
     pub fn to_json(&self) -> Json {
         let counters = Json::Obj(
             self.counters
@@ -175,6 +178,18 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_has_the_declared_sections() {
+        let v = MetricsRegistry::new().to_json();
+        let keys: Vec<&str> = v
+            .as_obj()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(keys, METRIC_SECTIONS);
+    }
 
     #[test]
     fn counters_accumulate() {

@@ -7,8 +7,9 @@
 # deterministic stand-in for a mid-campaign kill: checkpoints on disk,
 # grid incomplete), resumes it to completion, and then requires the
 # two merged aggregates to be byte-identical (cmp) *and* to pass the
-# mmm-inspect campaign diff at threshold 0. Any difference exits
-# non-zero.
+# mmm-inspect campaign diff at threshold 0, which also checks each
+# aggregate against its directory's manifest and cell records. Any
+# difference exits non-zero.
 #
 #   usage: campaign_smoke.sh [out-root]   (default: target/campaign-smoke)
 set -euo pipefail
@@ -37,9 +38,5 @@ cmp "$ROOT/whole/aggregate.json" "$ROOT/split/aggregate.json"
 echo "== mmm-inspect campaign gate"
 cargo run --release -q -p mmm-bench --bin mmm-inspect -- campaign \
   "$ROOT/whole/aggregate.json" "$ROOT/split/aggregate.json"
-
-echo "== schema validation"
-python3 scripts/validate_campaign.py "$ROOT/whole"
-python3 scripts/validate_campaign.py "$ROOT/split"
 
 echo "campaign_smoke: OK: resumed aggregate is byte-identical"
