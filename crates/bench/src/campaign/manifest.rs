@@ -716,6 +716,22 @@ mod tests {
     }
 
     #[test]
+    fn topologies_the_machine_cannot_hold_fail_at_parse_time() {
+        // 40 cores: the directory's 32-bit sharer mask would alias
+        // core 40 onto core 8.
+        let c40 = r#"{"name":"c40","warmup":1000,"measure":5000,"grid":{"benchmark":["oltp"],"workload":["nodmr","reunion"],"cores":[40]}}"#;
+        let err = Manifest::parse(c40).unwrap_err();
+        assert!(err.contains("at most 32"), "{err}");
+        // MMM-TP at 18 cores numbers its VCPUs up to 26, past the
+        // address layout's 24 private heaps.
+        let c18 = r#"{"name":"c18","warmup":1000,"measure":2000,"grid":{"benchmark":["pmake"],"workload":["mmm_tp"],"cores":[18]}}"#;
+        let err = Manifest::parse(c18).unwrap_err();
+        assert!(err.contains("private heap"), "{err}");
+        let wide = r#"{"name":"w","grid":{"workload":"nodmr2x","cores":26}}"#;
+        assert!(Manifest::parse(wide).is_err());
+    }
+
+    #[test]
     fn hash_is_stable_and_canonicalizes_spelling() {
         let a = Manifest::parse(SMOKE).unwrap();
         let b = Manifest::parse(SMOKE).unwrap();

@@ -9,6 +9,7 @@
 //! entry.
 
 use mmm_types::{Error, Result, SystemConfig, VcpuId, VmId};
+use mmm_workload::layout::PRIVATE_HEAPS;
 use mmm_workload::Benchmark;
 
 use crate::mode::RelMode;
@@ -142,6 +143,10 @@ impl Workload {
     /// guest (§4.1: "we implement the 16 VCPU guest as two
     /// co-scheduled 8 VCPU guests running the same application") holds
     /// `2*pairs..3*pairs` in its own VM.
+    ///
+    /// A VCPU's id picks its private heap in the address layout, so a
+    /// topology with an id at or past [`PRIVATE_HEAPS`] is an
+    /// [`Error::Topology`].
     pub fn vcpu_specs(self, cfg: &SystemConfig) -> Result<Vec<VcpuSpec>> {
         let pairs = cfg.pairs() as u16;
         let bench = self.benchmark();
@@ -176,11 +181,12 @@ impl Workload {
                 (0..pairs).map(|i| spec(i, 0, RelMode::PerfUser)).collect()
             }
             Workload::Overcommitted { reliable, perf, .. } => {
-                // The address layout fits 24 private heaps per VM span;
-                // reliable VCPUs live in VM 0, performance VCPUs in
-                // VM 1.
-                if reliable + perf > 24 {
-                    return Err(Error::topology("overcommitted topology exceeds 24 VCPUs"));
+                // Reliable VCPUs live in VM 0, performance VCPUs in
+                // VM 1; their ids count on across both.
+                if reliable as usize + perf as usize > PRIVATE_HEAPS {
+                    return Err(Error::topology(format!(
+                        "overcommitted topology exceeds {PRIVATE_HEAPS} VCPUs"
+                    )));
                 }
                 if reliable == 0 && perf == 0 {
                     return Err(Error::topology("no VCPUs requested"));
@@ -194,6 +200,12 @@ impl Workload {
         };
         if out.is_empty() {
             return Err(Error::topology("workload produced no VCPUs"));
+        }
+        if let Some(s) = out.iter().find(|s| s.vcpu.index() >= PRIVATE_HEAPS) {
+            return Err(Error::topology(format!(
+                "VCPU {} has no private heap: the address layout holds {PRIVATE_HEAPS}",
+                s.vcpu.index()
+            )));
         }
         Ok(out)
     }
@@ -296,6 +308,29 @@ mod tests {
             let ids: std::collections::HashSet<_> = specs.iter().map(|s| s.vcpu).collect();
             assert_eq!(ids.len(), specs.len());
         }
+    }
+
+    #[test]
+    #[allow(clippy::field_reassign_with_default)]
+    fn topologies_past_the_private_heaps_are_rejected() {
+        let mut c = cfg();
+        c.cores = 18; // MMM-TP: VCPU ids 0..27
+        let tp = Workload::Consolidated {
+            bench: Benchmark::Pmake,
+            policy: MixedPolicy::MmmTp,
+        };
+        assert!(matches!(tp.vcpu_specs(&c), Err(Error::Topology(_))));
+        c.cores = 26; // No DMR 2X: VCPU ids 0..26
+        let wide = Workload::NoDmr2x(Benchmark::Pmake);
+        assert!(matches!(wide.vcpu_specs(&c), Err(Error::Topology(_))));
+        c.cores = 24;
+        assert_eq!(wide.vcpu_specs(&c).unwrap().len(), PRIVATE_HEAPS);
+        let over = Workload::Overcommitted {
+            bench: Benchmark::Oltp,
+            reliable: u16::MAX,
+            perf: 1,
+        };
+        assert!(matches!(over.vcpu_specs(&cfg()), Err(Error::Topology(_))));
     }
 
     #[test]

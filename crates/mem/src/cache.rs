@@ -1,9 +1,29 @@
 //! Generic set-associative cache with true-LRU replacement.
 //!
-//! Used for the L1s, the private L2s, and the shared L3 (and, in the
-//! `mmm-core` crate, for the Protection Assistance Buffer). One
+//! Used for the L1s, the private L2s, and the shared L3 (and, in
+//! `mmm-cpu::pab`, for the Protection Assistance Buffer). One
 //! structure serves all levels; level-specific behaviour (write-through,
 //! exclusivity, coherence) lives in [`crate::system::MemorySystem`].
+//!
+//! # Layout
+//!
+//! A way is 16 bytes: a tag word that packs the line address with the
+//! line's valid, coherent and MOSI bits (0 is an empty way), beside
+//! its version token. Each set keeps one `u64` recency word that lists
+//! the set's 4-bit way numbers from most to least recently used, so a
+//! set holds at most [`MAX_ASSOCIATIVITY`](mmm_types::config::MAX_ASSOCIATIVITY)
+//! (16) ways, a bound [`CacheGeometry::validate`] enforces. Lookups
+//! and updates, which refresh the recency word anyway and mostly hit,
+//! probe in recency order, MRU first, and a hit on the MRU way writes
+//! nothing back. Peeks, invalidations and fills, which mostly miss
+//! (and are all the L3 sees), scan the ways in index order and so
+//! never wait for the recency word before probing.
+//!
+//! The last way in the recency word is the true-LRU victim: a set
+//! evicts only when full, every way of a full set was touched when it
+//! was filled, and lookups, updates and inserts move their way to the
+//! front. Invalidations, drains and clears leave the recency word
+//! alone, as they leave a stamp-based LRU's stamps.
 
 use mmm_types::config::CacheGeometry;
 use mmm_types::LineAddr;
@@ -57,24 +77,110 @@ pub struct CacheLine {
     pub coherent: bool,
 }
 
-#[derive(Clone, Debug)]
-struct Slot {
-    line: Option<CacheLine>,
-    lru: u64,
+/// Tag-word bit: the way holds a line.
+const VALID: u64 = 1;
+/// Tag-word bit: the line is coherent.
+const COHERENT: u64 = 1 << 1;
+/// Tag-word MOSI field (0 Shared, 1 Owned, 2 Modified) and its shift.
+const STATE_SHIFT: u32 = 2;
+const STATE: u64 = 0b11 << STATE_SHIFT;
+/// The line address sits above the four flag bits.
+const ADDR_SHIFT: u32 = 4;
+/// The tag bits an address probe compares: address and valid bit.
+const MATCH: u64 = !(COHERENT | STATE);
+/// Recency word of a set that was never touched: ways 0, 1, 2, … from
+/// MRU to LRU (only the low `associativity` nibbles are read).
+const FRESH_RECENCY: u64 = 0xFEDC_BA98_7654_3210;
+
+/// One way: the packed tag word and the version token.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Way {
+    tag: u64,
+    version: VersionToken,
+}
+
+impl Way {
+    const EMPTY: Way = Way { tag: 0, version: 0 };
+
+    fn pack(line: CacheLine) -> Way {
+        // A constant message: formatting the address into it spilled
+        // every inserted line to the stack and made fills about 1.6x
+        // slower.
+        assert!(
+            line.addr.0 >> (64 - ADDR_SHIFT) == 0,
+            "line address exceeds the tag width"
+        );
+        let state = match line.state {
+            Mosi::Shared => 0,
+            Mosi::Owned => 1,
+            Mosi::Modified => 2,
+        };
+        Way {
+            tag: probe_key(line.addr)
+                | if line.coherent { COHERENT } else { 0 }
+                | state << STATE_SHIFT,
+            version: line.version,
+        }
+    }
+
+    #[inline]
+    fn unpack(self) -> CacheLine {
+        CacheLine {
+            addr: LineAddr(self.tag >> ADDR_SHIFT),
+            state: match (self.tag & STATE) >> STATE_SHIFT {
+                0 => Mosi::Shared,
+                1 => Mosi::Owned,
+                _ => Mosi::Modified,
+            },
+            version: self.version,
+            coherent: self.tag & COHERENT != 0,
+        }
+    }
+
+    #[inline]
+    fn is_valid(self) -> bool {
+        self.tag & VALID != 0
+    }
+}
+
+/// The tag bits a resident copy of `addr` matches under [`MATCH`].
+#[inline]
+fn probe_key(addr: LineAddr) -> u64 {
+    addr.0 << ADDR_SHIFT | VALID
+}
+
+/// The way number at recency position `pos` (0 = MRU).
+#[inline]
+fn way_at(recency: u64, pos: usize) -> usize {
+    (recency >> (4 * pos) & 0xF) as usize
+}
+
+/// The recency position of `way`: the lowest nibble equal to it.
+#[inline]
+fn position(recency: u64, way: usize) -> usize {
+    const ONES: u64 = 0x1111_1111_1111_1111;
+    // Zero the nibbles equal to `way`; the lowest zero nibble's high
+    // bit is the lowest bit the borrow trick sets.
+    let x = recency ^ (way as u64).wrapping_mul(ONES);
+    (x.wrapping_sub(ONES) & !x & ONES << 3).trailing_zeros() as usize / 4
+}
+
+/// Moves the way at recency position `pos` to the front.
+#[inline]
+fn promote(recency: u64, pos: usize) -> u64 {
+    let below = (1u64 << (4 * pos)) - 1;
+    let through = below << 4 | 0xF;
+    recency & !through | (recency & below) << 4 | way_at(recency, pos) as u64
 }
 
 /// A set-associative cache with true-LRU replacement.
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
-    sets: Vec<Slot>,
-    ways: usize,
+    ways: Vec<Way>,
+    /// One word per set: 4-bit way numbers from MRU to LRU.
+    recency: Vec<u64>,
+    assoc: usize,
     set_mask: u64,
-    stamp: u64,
-    /// Per-set way of the last lookup hit — a pure probe accelerator.
-    /// A set holds at most one copy of an address, so checking the
-    /// hinted way first returns the same slot the linear scan would;
-    /// hit/miss results and LRU stamps are identical either way.
-    way_hint: Vec<u8>,
 }
 
 impl SetAssocCache {
@@ -86,139 +192,133 @@ impl SetAssocCache {
     pub fn new(geom: CacheGeometry) -> Self {
         geom.validate().expect("invalid cache geometry");
         let sets = geom.sets() as usize;
-        let ways = geom.associativity as usize;
-        assert!(ways <= 256, "way hints are byte-sized");
+        let assoc = geom.associativity as usize;
         Self {
-            sets: vec![Slot { line: None, lru: 0 }; sets * ways],
-            ways,
+            ways: vec![Way::EMPTY; sets * assoc],
+            recency: vec![FRESH_RECENCY; sets],
+            assoc,
             set_mask: sets as u64 - 1,
-            stamp: 0,
-            way_hint: vec![0; sets],
         }
-    }
-
-    /// Number of sets.
-    pub fn set_count(&self) -> usize {
-        self.sets.len() / self.ways
     }
 
     /// Total slots (sets × ways).
     pub fn slot_count(&self) -> usize {
-        self.sets.len()
+        self.ways.len()
     }
 
     #[inline]
-    fn set_range(&self, addr: LineAddr) -> std::ops::Range<usize> {
-        let set = (addr.0 & self.set_mask) as usize;
-        set * self.ways..(set + 1) * self.ways
+    fn set_of(&self, addr: LineAddr) -> usize {
+        (addr.0 & self.set_mask) as usize
     }
 
-    /// Looks up `addr`; on a hit, refreshes LRU and returns a mutable
-    /// reference to the line.
-    pub fn lookup(&mut self, addr: LineAddr) -> Option<&mut CacheLine> {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let set = (addr.0 & self.set_mask) as usize;
-        let base = set * self.ways;
-        // Probe the way that hit here last — under power-law reuse
-        // most lookups land on it, skipping the associative scan.
-        let hinted = base + self.way_hint[set] as usize;
-        if self.sets[hinted]
-            .line
-            .as_ref()
-            .is_some_and(|l| l.addr == addr)
-        {
-            let slot = &mut self.sets[hinted];
-            slot.lru = stamp;
-            return slot.line.as_mut();
+    /// Finds `addr` without reading the recency word: the index of the
+    /// way that holds it.
+    #[inline]
+    fn find(&self, addr: LineAddr) -> Option<usize> {
+        let base = self.set_of(addr) * self.assoc;
+        let key = probe_key(addr);
+        self.ways[base..base + self.assoc]
+            .iter()
+            .position(|w| w.tag & MATCH == key)
+            .map(|way| base + way)
+    }
+
+    /// Finds `addr` in recency order, MRU first, and moves its way to
+    /// the front: the index of that way. For lookups and updates,
+    /// which refresh the recency word anyway and mostly hit.
+    #[inline]
+    fn hit(&mut self, addr: LineAddr) -> Option<usize> {
+        let set = self.set_of(addr);
+        let base = set * self.assoc;
+        let key = probe_key(addr);
+        let recency = self.recency[set];
+        let (pos, i) = (0..self.assoc)
+            .map(|pos| (pos, base + way_at(recency, pos)))
+            .find(|&(_, i)| self.ways[i].tag & MATCH == key)?;
+        if pos != 0 {
+            self.recency[set] = promote(recency, pos);
         }
-        let hit = self.sets[base..base + self.ways]
-            .iter_mut()
-            .position(|s| s.line.as_ref().is_some_and(|l| l.addr == addr))?;
-        self.way_hint[set] = hit as u8;
-        let slot = &mut self.sets[base + hit];
-        slot.lru = stamp;
-        slot.line.as_mut()
+        Some(i)
+    }
+
+    /// Looks up `addr`; on a hit, refreshes LRU and returns the line.
+    #[inline]
+    pub fn lookup(&mut self, addr: LineAddr) -> Option<CacheLine> {
+        let i = self.hit(addr)?;
+        Some(self.ways[i].unpack())
+    }
+
+    /// Applies `f` to the resident copy of `addr`, refreshing LRU as
+    /// [`Self::lookup`] does. Returns the line as it was before `f`,
+    /// or `None` (and `f` is not called) on a miss. `f` must not
+    /// change the line's address.
+    pub fn update(&mut self, addr: LineAddr, f: impl FnOnce(&mut CacheLine)) -> Option<CacheLine> {
+        let i = self.hit(addr)?;
+        let old = self.ways[i].unpack();
+        let mut line = old;
+        f(&mut line);
+        debug_assert_eq!(line.addr, addr, "update must not move a line");
+        self.ways[i] = Way::pack(line);
+        Some(old)
     }
 
     /// Looks up `addr` without touching LRU state (for probes that
     /// must not perturb replacement, e.g. mute best-effort reads of
     /// other caches and directory consistency checks).
-    pub fn peek(&self, addr: LineAddr) -> Option<&CacheLine> {
-        let range = self.set_range(addr);
-        self.sets[range]
-            .iter()
-            .filter_map(|s| s.line.as_ref())
-            .find(|l| l.addr == addr)
+    #[inline]
+    pub fn peek(&self, addr: LineAddr) -> Option<CacheLine> {
+        self.find(addr).map(|i| self.ways[i].unpack())
     }
 
     /// Inserts a line, evicting the LRU victim of its set if full.
     /// Returns the victim. If the address is already resident, the
     /// existing line is overwritten in place and `None` is returned.
     pub fn insert(&mut self, line: CacheLine) -> Option<CacheLine> {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let range = self.set_range(line.addr);
-        let set = &mut self.sets[range];
-        // Overwrite an existing copy of the same address.
-        if let Some(slot) = set
-            .iter_mut()
-            .find(|s| s.line.as_ref().is_some_and(|l| l.addr == line.addr))
+        let new = Way::pack(line);
+        let set = self.set_of(line.addr);
+        let base = set * self.assoc;
+        let ways = &mut self.ways[base..base + self.assoc];
+        let recency = self.recency[set];
+        // Overwrite a resident copy, else fill the first empty way,
+        // else evict the LRU way.
+        let key = new.tag & MATCH;
+        let (pos, victim) = match ways
+            .iter()
+            .position(|w| w.tag & MATCH == key)
+            .or_else(|| ways.iter().position(|w| !w.is_valid()))
         {
-            slot.line = Some(line);
-            slot.lru = stamp;
-            return None;
+            Some(way) => (position(recency, way), None),
+            None => {
+                let lru = self.assoc - 1;
+                (lru, Some(ways[way_at(recency, lru)].unpack()))
+            }
+        };
+        ways[way_at(recency, pos)] = new;
+        if pos != 0 {
+            self.recency[set] = promote(recency, pos);
         }
-        // Fill an empty way.
-        if let Some(slot) = set.iter_mut().find(|s| s.line.is_none()) {
-            slot.line = Some(line);
-            slot.lru = stamp;
-            return None;
-        }
-        // Evict LRU.
-        let victim_slot = set
-            .iter_mut()
-            .min_by_key(|s| s.lru)
-            .expect("nonzero associativity");
-        let victim = victim_slot.line.replace(line);
-        victim_slot.lru = stamp;
         victim
     }
 
     /// Removes `addr` if present, returning the line.
     pub fn invalidate(&mut self, addr: LineAddr) -> Option<CacheLine> {
-        let range = self.set_range(addr);
-        self.sets[range]
-            .iter_mut()
-            .find(|s| s.line.as_ref().is_some_and(|l| l.addr == addr))
-            .and_then(|s| s.line.take())
-    }
-
-    /// Iterates over all resident lines.
-    pub fn iter_lines(&self) -> impl Iterator<Item = &CacheLine> {
-        self.sets.iter().filter_map(|s| s.line.as_ref())
-    }
-
-    /// Removes every line matching `pred`, returning the removed lines.
-    pub fn drain_matching(&mut self, pred: impl FnMut(&CacheLine) -> bool) -> Vec<CacheLine> {
-        let mut out = Vec::new();
-        self.drain_matching_into(pred, &mut out);
-        out
+        let i = self.find(addr)?;
+        Some(std::mem::replace(&mut self.ways[i], Way::EMPTY).unpack())
     }
 
     /// Removes every line matching `pred`, appending the removed lines
-    /// to `out` — the allocation-free form of [`Self::drain_matching`]
-    /// for hot paths that reuse a scratch buffer.
+    /// to `out` in slot order (set by set, way by way).
     pub fn drain_matching_into(
         &mut self,
         mut pred: impl FnMut(&CacheLine) -> bool,
         out: &mut Vec<CacheLine>,
     ) {
-        for slot in &mut self.sets {
-            if let Some(line) = slot.line {
+        for way in &mut self.ways {
+            if way.is_valid() {
+                let line = way.unpack();
                 if pred(&line) {
                     out.push(line);
-                    slot.line = None;
+                    *way = Way::EMPTY;
                 }
             }
         }
@@ -229,12 +329,10 @@ impl SetAssocCache {
     /// line contents).
     pub fn discard_matching(&mut self, mut pred: impl FnMut(&CacheLine) -> bool) -> usize {
         let mut removed = 0;
-        for slot in &mut self.sets {
-            if let Some(line) = slot.line.as_ref() {
-                if pred(line) {
-                    removed += 1;
-                    slot.line = None;
-                }
+        for way in &mut self.ways {
+            if way.is_valid() && pred(&way.unpack()) {
+                removed += 1;
+                *way = Way::EMPTY;
             }
         }
         removed
@@ -242,14 +340,12 @@ impl SetAssocCache {
 
     /// Number of resident lines.
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().filter(|s| s.line.is_some()).count()
+        self.ways.iter().filter(|w| w.is_valid()).count()
     }
 
     /// Empties the cache completely.
     pub fn clear(&mut self) {
-        for slot in &mut self.sets {
-            slot.line = None;
-        }
+        self.ways.fill(Way::EMPTY);
     }
 }
 
@@ -257,6 +353,7 @@ impl SetAssocCache {
 mod tests {
     use super::*;
     use mmm_types::config::CacheGeometry;
+    use mmm_types::DetRng;
 
     fn tiny() -> SetAssocCache {
         // 4 sets x 2 ways.
@@ -270,6 +367,47 @@ mod tests {
             version: 0,
             coherent: true,
         }
+    }
+
+    #[test]
+    fn a_way_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Way>(), 16);
+    }
+
+    #[test]
+    fn packing_round_trips_every_field() {
+        for state in [Mosi::Modified, Mosi::Owned, Mosi::Shared] {
+            for coherent in [false, true] {
+                for addr in [0, 1, 0x4_0000, (1 << 60) - 1] {
+                    let l = CacheLine {
+                        addr: LineAddr(addr),
+                        state,
+                        version: u64::MAX - addr,
+                        coherent,
+                    };
+                    let w = Way::pack(l);
+                    assert!(w.is_valid());
+                    assert_eq!(w.unpack(), l);
+                }
+            }
+        }
+        assert!(!Way::EMPTY.is_valid());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the tag width")]
+    fn addresses_past_the_tag_width_are_refused() {
+        tiny().insert(line(1 << 60));
+    }
+
+    #[test]
+    fn promote_moves_one_way_to_the_front() {
+        assert_eq!(promote(FRESH_RECENCY, 0), FRESH_RECENCY);
+        assert_eq!(promote(FRESH_RECENCY, 3), 0xFEDC_BA98_7654_2103);
+        assert_eq!(promote(FRESH_RECENCY, 15), 0xEDCB_A987_6543_210F);
+        assert_eq!(position(FRESH_RECENCY, 3), 3);
+        assert_eq!(position(0xEDCB_A987_6543_210F, 15), 0);
+        assert_eq!(position(0xEDCB_A987_6543_210F, 0), 1);
     }
 
     #[test]
@@ -318,6 +456,30 @@ mod tests {
     }
 
     #[test]
+    fn update_rewrites_in_place_and_refreshes_lru() {
+        let mut c = tiny();
+        c.insert(line(0));
+        c.insert(line(4));
+        let old = c.update(LineAddr(0), |l| {
+            l.state = Mosi::Modified;
+            l.coherent = false;
+            l.version = 9;
+        });
+        assert_eq!(old, Some(line(0)));
+        let now = c.peek(LineAddr(0)).unwrap();
+        assert_eq!(
+            (now.state, now.coherent, now.version),
+            (Mosi::Modified, false, 9)
+        );
+        assert_eq!(
+            c.insert(line(8)).unwrap().addr,
+            LineAddr(4),
+            "0 was refreshed"
+        );
+        assert!(c.update(LineAddr(12), |_| panic!("miss")).is_none());
+    }
+
+    #[test]
     fn invalidate_removes() {
         let mut c = tiny();
         c.insert(line(7));
@@ -344,9 +506,11 @@ mod tests {
             l.coherent = a % 2 == 0;
             c.insert(l);
         }
-        let drained = c.drain_matching(|l| !l.coherent);
+        let mut drained = Vec::new();
+        c.drain_matching_into(|l| !l.coherent, &mut drained);
         assert_eq!(drained.len(), 4);
-        assert!(c.iter_lines().all(|l| l.coherent));
+        assert_eq!(c.occupancy(), 4);
+        assert!((0..8).all(|a| c.peek(LineAddr(a)).is_none_or(|l| l.coherent)));
     }
 
     #[test]
@@ -377,5 +541,156 @@ mod tests {
         assert!(Mosi::Modified.can_write());
         assert!(!Mosi::Owned.can_write());
         assert!(!Mosi::Shared.can_write());
+    }
+
+    /// Reference model: a slot per way with a `u64` stamp per slot,
+    /// refreshed on every touch, evicting the minimum stamp.
+    struct StampLru {
+        slots: Vec<(Option<CacheLine>, u64)>,
+        assoc: usize,
+        set_mask: u64,
+        stamp: u64,
+    }
+
+    impl StampLru {
+        fn new(geom: CacheGeometry) -> Self {
+            let assoc = geom.associativity as usize;
+            Self {
+                slots: vec![(None, 0); geom.lines() as usize],
+                assoc,
+                set_mask: geom.sets() - 1,
+                stamp: 0,
+            }
+        }
+
+        fn set(&mut self, addr: LineAddr) -> &mut [(Option<CacheLine>, u64)] {
+            let base = (addr.0 & self.set_mask) as usize * self.assoc;
+            &mut self.slots[base..base + self.assoc]
+        }
+
+        fn slot(&mut self, addr: LineAddr) -> Option<&mut (Option<CacheLine>, u64)> {
+            self.set(addr)
+                .iter_mut()
+                .find(|s| s.0.is_some_and(|l| l.addr == addr))
+        }
+
+        fn lookup(&mut self, addr: LineAddr) -> Option<CacheLine> {
+            self.stamp += 1;
+            let stamp = self.stamp;
+            let slot = self.slot(addr)?;
+            slot.1 = stamp;
+            slot.0
+        }
+
+        fn update(&mut self, addr: LineAddr, f: impl FnOnce(&mut CacheLine)) -> Option<CacheLine> {
+            self.stamp += 1;
+            let stamp = self.stamp;
+            let slot = self.slot(addr)?;
+            slot.1 = stamp;
+            let old = slot.0?;
+            f(slot.0.as_mut().expect("resident"));
+            Some(old)
+        }
+
+        fn peek(&mut self, addr: LineAddr) -> Option<CacheLine> {
+            self.slot(addr).and_then(|s| s.0)
+        }
+
+        fn insert(&mut self, line: CacheLine) -> Option<CacheLine> {
+            self.stamp += 1;
+            let stamp = self.stamp;
+            let set = self.set(line.addr);
+            let slot = match set
+                .iter()
+                .position(|s| s.0.is_some_and(|l| l.addr == line.addr))
+                .or_else(|| set.iter().position(|s| s.0.is_none()))
+            {
+                Some(i) => &mut set[i],
+                None => set.iter_mut().min_by_key(|s| s.1).expect("nonzero ways"),
+            };
+            slot.1 = stamp;
+            slot.0.replace(line).filter(|old| old.addr != line.addr)
+        }
+
+        fn invalidate(&mut self, addr: LineAddr) -> Option<CacheLine> {
+            self.slot(addr).and_then(|s| s.0.take())
+        }
+
+        fn drain(&mut self, mut pred: impl FnMut(&CacheLine) -> bool) -> Vec<CacheLine> {
+            let mut out = Vec::new();
+            for s in &mut self.slots {
+                if s.0.is_some_and(|l| pred(&l)) {
+                    out.extend(s.0.take());
+                }
+            }
+            out
+        }
+
+        fn occupancy(&self) -> usize {
+            self.slots.iter().filter(|s| s.0.is_some()).count()
+        }
+    }
+
+    #[test]
+    fn recency_words_replace_exactly_like_stamped_lru() {
+        for (n, assoc) in [1u32, 2, 4, 8, 16].into_iter().enumerate() {
+            // Four sets, and twice as many addresses as lines, so
+            // sets fill, evict and drain constantly.
+            let geom = CacheGeometry::new(4 * assoc as u64 * 64, assoc).unwrap();
+            let mut c = SetAssocCache::new(geom);
+            let mut r = StampLru::new(geom);
+            let mut rng = DetRng::new(0x1E57, n as u64);
+            let span = 8 * assoc as u64;
+            for step in 0..20_000 {
+                let addr = LineAddr(rng.below(span));
+                let token = rng.next_u64();
+                let ctx = format!("{assoc} ways, step {step}");
+                match rng.below(100) {
+                    0..=24 => assert_eq!(c.lookup(addr), r.lookup(addr), "{ctx}"),
+                    25..=34 => {
+                        let state = [Mosi::Modified, Mosi::Owned, Mosi::Shared][token as usize % 3];
+                        let f = move |l: &mut CacheLine| {
+                            l.state = state;
+                            l.version = token;
+                            l.coherent = token & 8 != 0;
+                        };
+                        assert_eq!(c.update(addr, f), r.update(addr, f), "{ctx}");
+                    }
+                    35..=49 => assert_eq!(c.peek(addr), r.peek(addr), "{ctx}"),
+                    50..=84 => {
+                        let l = CacheLine {
+                            addr,
+                            state: [Mosi::Modified, Mosi::Owned, Mosi::Shared][token as usize % 3],
+                            version: token,
+                            coherent: token & 16 != 0,
+                        };
+                        assert_eq!(c.insert(l), r.insert(l), "{ctx}");
+                    }
+                    85..=93 => assert_eq!(c.invalidate(addr), r.invalidate(addr), "{ctx}"),
+                    94..=96 => {
+                        let pick = rng.below(4);
+                        let pred = |l: &CacheLine| match pick {
+                            0 => !l.coherent,
+                            1 => l.state.is_dirty(),
+                            2 => l.version & 1 == 0,
+                            _ => l.addr.0.is_multiple_of(3),
+                        };
+                        let mut out = vec![line(u64::MAX >> ADDR_SHIFT)];
+                        c.drain_matching_into(pred, &mut out);
+                        assert_eq!(out[0], line(u64::MAX >> ADDR_SHIFT), "{ctx}: appends");
+                        assert_eq!(out[1..], r.drain(pred)[..], "{ctx}");
+                    }
+                    97..=98 => {
+                        let pred = |l: &CacheLine| l.coherent;
+                        assert_eq!(c.discard_matching(pred), r.drain(pred).len(), "{ctx}");
+                    }
+                    _ => {
+                        c.clear();
+                        r.drain(|_| true);
+                    }
+                }
+                assert_eq!(c.occupancy(), r.occupancy(), "{ctx}");
+            }
+        }
     }
 }

@@ -179,7 +179,7 @@ impl MemorySystem {
         let _prof = self.profiler.enter(ProfPhase::Mem);
         if coherent && self.maybe_incoherent[core.index()] {
             // Discard incoherent leftovers (see `load`).
-            let stale = |l: Option<&CacheLine>| l.map(|x| !x.coherent).unwrap_or(false);
+            let stale = |l: Option<CacheLine>| l.is_some_and(|x| !x.coherent);
             if stale(self.l1i[core.index()].peek(line)) || stale(self.l2[core.index()].peek(line)) {
                 self.l1i[core.index()].invalidate(line);
                 self.l2[core.index()].invalidate(line);
@@ -197,9 +197,8 @@ impl MemorySystem {
         self.stats.l1i_misses += 1;
         // The unified L2 may already hold the line (e.g. data written
         // there, or a prior I-fetch whose L1-I copy was evicted).
-        let acc = if let Some(l2line) = self.l2[core.index()].lookup(line) {
+        let acc = if let Some(copy) = self.l2[core.index()].lookup(line) {
             self.stats.l2_hits += 1;
-            let copy = *l2line;
             self.l1i[core.index()].insert(copy);
             return Access {
                 complete_at: now + self.cfg.mem.l2_latency as Cycle,
@@ -207,12 +206,11 @@ impl MemorySystem {
                 source: Source::L2,
             };
         } else {
-            self.read_into_l2(core, line, coherent, now, false)
+            self.read_into_l2(core, line, coherent, now)
         };
         // Fill the L1-I (code is read-only; version is immaterial).
         let l2_copy = self.l2[core.index()]
             .peek(line)
-            .copied()
             .expect("read_into_l2 leaves the line in L2");
         self.l1i[core.index()].insert(l2_copy);
         self.prefetch_next_line(core, line, coherent, now);
@@ -228,11 +226,10 @@ impl MemorySystem {
             return;
         }
         if self.l2[core.index()].peek(next).is_none() {
-            self.read_into_l2(core, next, coherent, now, false);
+            self.read_into_l2(core, next, coherent, now);
         }
         let copy = self.l2[core.index()]
             .peek(next)
-            .copied()
             .expect("prefetch fill resides in L2");
         self.l1i[core.index()].insert(copy);
     }
@@ -251,8 +248,7 @@ impl MemorySystem {
         if coherent && self.maybe_incoherent[core.index()] {
             let stale_local = self.l2[core.index()]
                 .peek(line)
-                .map(|l| !l.coherent)
-                .unwrap_or(false);
+                .is_some_and(|l| !l.coherent);
             if stale_local {
                 self.l2[core.index()].invalidate(line);
                 self.l1d[core.index()].invalidate(line);
@@ -279,9 +275,8 @@ impl MemorySystem {
             self.l1d[core.index()].invalidate(line);
         }
         self.stats.l1d_misses += 1;
-        if let Some(l2line) = self.l2[core.index()].lookup(line) {
+        if let Some(copy) = self.l2[core.index()].lookup(line) {
             self.stats.l2_hits += 1;
-            let copy = *l2line;
             if !copy.coherent && copy.version != self.current_version(line) {
                 self.stats.stale_mute_hits += 1;
             }
@@ -292,25 +287,17 @@ impl MemorySystem {
                 source: Source::L2,
             };
         }
-        let acc = self.read_into_l2(core, line, coherent, now, true);
+        let acc = self.read_into_l2(core, line, coherent, now);
         let l2_copy = self.l2[core.index()]
             .peek(line)
-            .copied()
             .expect("read_into_l2 leaves the line in L2");
         self.l1d[core.index()].insert(l2_copy);
         acc
     }
 
     /// Services an L2 miss for a read, installing the line in the
-    /// requester's L2. `is_data` selects the miss counter only.
-    fn read_into_l2(
-        &mut self,
-        core: CoreId,
-        line: LineAddr,
-        coherent: bool,
-        now: Cycle,
-        _is_data: bool,
-    ) -> Access {
+    /// requester's L2.
+    fn read_into_l2(&mut self, core: CoreId, line: LineAddr, coherent: bool, now: Cycle) -> Access {
         self.stats.l2_misses += 1;
         let now = now + self.bank_delay(line, now);
         let current = self.current_version(line);
@@ -323,11 +310,11 @@ impl MemorySystem {
             self.stats.c2c_transfers += 1;
             if coherent {
                 // Owner transitions M -> O (stays the data source).
-                if let Some(ol) = self.l2[owner.index()].lookup(line) {
+                self.l2[owner.index()].update(line, |ol| {
                     if ol.state == Mosi::Modified {
                         ol.state = Mosi::Owned;
                     }
-                }
+                });
             }
             (self.c2c_latency(), Source::CacheToCache)
         } else if self.l3.peek(line).is_some() {
@@ -446,10 +433,9 @@ impl MemorySystem {
                     kicked &= kicked - 1;
                     self.drop_core_line(victim, line);
                 }
-                let l2line = self.l2[core.index()]
-                    .lookup(line)
+                self.l2[core.index()]
+                    .update(line, |l| l.state = Mosi::Modified)
                     .expect("upgrade target resident");
-                l2line.state = Mosi::Modified;
                 self.dir.clear_owner(line);
                 self.dir.set_owner(line, core);
                 return Access {
@@ -539,20 +525,19 @@ impl MemorySystem {
             self.maybe_incoherent[core.index()] = true;
             let fill = self.mute_local_fill(core, line, now);
             let idx = core.index();
-            if let Some(l2line) = self.l2[idx].lookup(line) {
-                if l2line.coherent {
-                    // Leaving the coherent world: stop being tracked.
-                    self.dir.remove_sharer(line, core);
-                }
-                l2line.coherent = false;
-                l2line.version = token;
-                l2line.state = Mosi::Modified;
+            let diverge = move |l: &mut CacheLine| {
+                l.coherent = false;
+                l.version = token;
+                l.state = Mosi::Modified;
+            };
+            if self.l2[idx]
+                .update(line, diverge)
+                .is_some_and(|l| l.coherent)
+            {
+                // Leaving the coherent world: stop being tracked.
+                self.dir.remove_sharer(line, core);
             }
-            if let Some(l1line) = self.l1d[idx].lookup(line) {
-                l1line.coherent = false;
-                l1line.version = token;
-                l1line.state = Mosi::Modified;
-            }
+            self.l1d[idx].update(line, diverge);
             return Access {
                 complete_at: fill.complete_at.max(now + 1),
                 version: token,
@@ -563,8 +548,7 @@ impl MemorySystem {
         // Coherent path: ensure we still hold M.
         let holds_m = self.l2[core.index()]
             .peek(line)
-            .map(|l| l.coherent && l.state == Mosi::Modified)
-            .unwrap_or(false);
+            .is_some_and(|l| l.coherent && l.state == Mosi::Modified);
         let (mut complete_at, source) = if holds_m {
             (now + 1, Source::L2)
         } else {
@@ -575,14 +559,10 @@ impl MemorySystem {
             complete_at = now + 1;
         }
         self.versions.insert(line, token);
-        if let Some(l2line) = self.l2[core.index()].lookup(line) {
-            l2line.version = token;
-        }
+        self.l2[core.index()].update(line, |l| l.version = token);
         // Write-through, no-write-allocate L1: update an existing copy
         // only.
-        if let Some(l1line) = self.l1d[core.index()].lookup(line) {
-            l1line.version = token;
-        }
+        self.l1d[core.index()].update(line, |l| l.version = token);
         Access {
             complete_at,
             version: token,
@@ -758,12 +738,12 @@ impl MemorySystem {
     // ----- test/diagnostic accessors -----------------------------------------
 
     /// Peeks a core's L2 copy of a line (diagnostics).
-    pub fn peek_l2(&self, core: CoreId, line: LineAddr) -> Option<&CacheLine> {
+    pub fn peek_l2(&self, core: CoreId, line: LineAddr) -> Option<CacheLine> {
         self.l2[core.index()].peek(line)
     }
 
     /// Peeks the L3 copy of a line (diagnostics).
-    pub fn peek_l3(&self, line: LineAddr) -> Option<&CacheLine> {
+    pub fn peek_l3(&self, line: LineAddr) -> Option<CacheLine> {
         self.l3.peek(line)
     }
 

@@ -8,6 +8,14 @@
 use crate::error::{Error, Result};
 use crate::ids::LINE_BYTES;
 
+/// Most ways a cache set (or a PAB set) may have: a set's recency
+/// word lists its ways in 4-bit slots.
+pub const MAX_ASSOCIATIVITY: u32 = 16;
+
+/// Most cores a machine may have: the directory keeps each line's
+/// sharers as a 32-bit mask.
+pub const MAX_CORES: u32 = 32;
+
 /// Geometry of one set-associative cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheGeometry {
@@ -38,11 +46,13 @@ impl CacheGeometry {
         self.size_bytes / LINE_BYTES
     }
 
-    /// Checks that the geometry is non-degenerate and power-of-two
-    /// indexed.
+    /// Checks that the geometry is non-degenerate, power-of-two
+    /// indexed, and at most [`MAX_ASSOCIATIVITY`] ways.
     pub fn validate(&self) -> Result<()> {
-        if self.associativity == 0 {
-            return Err(Error::config("cache associativity must be nonzero"));
+        if self.associativity == 0 || self.associativity > MAX_ASSOCIATIVITY {
+            return Err(Error::config(format!(
+                "cache associativity must be 1 to {MAX_ASSOCIATIVITY}"
+            )));
         }
         if self.size_bytes == 0
             || !self
@@ -340,6 +350,11 @@ impl SystemConfig {
                 "core count must be a nonzero multiple of two (DMR pairs)",
             ));
         }
+        if self.cores > MAX_CORES {
+            return Err(Error::config(format!(
+                "core count must be at most {MAX_CORES} (directory sharer mask)"
+            )));
+        }
         self.mem.l1i.validate()?;
         self.mem.l1d.validate()?;
         self.mem.l2.validate()?;
@@ -361,6 +376,11 @@ impl SystemConfig {
         }
         if self.pab.entries == 0 || self.pab.associativity == 0 {
             return Err(Error::config("PAB geometry must be nonzero"));
+        }
+        if self.pab.associativity > MAX_ASSOCIATIVITY {
+            return Err(Error::config(format!(
+                "PAB associativity must be at most {MAX_ASSOCIATIVITY}"
+            )));
         }
         if !self.pab.entries.is_multiple_of(self.pab.associativity)
             || !(self.pab.entries / self.pab.associativity).is_power_of_two()
@@ -432,6 +452,43 @@ mod tests {
         assert!(c.validate().is_err());
         c.cores = 0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    #[allow(clippy::field_reassign_with_default)]
+    fn core_count_is_capped_by_the_sharer_mask() {
+        let mut c = SystemConfig::default();
+        c.cores = MAX_CORES;
+        assert!(c.validate().is_ok());
+        c.cores = MAX_CORES + 2;
+        assert!(c.validate().is_err());
+        c.cores = 40;
+        assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn associativity_above_sixteen_is_rejected_at_every_level() {
+        assert!(CacheGeometry::new(16 * 64, MAX_ASSOCIATIVITY).is_ok());
+        assert!(CacheGeometry::new(32 * 64, 32).is_err());
+        let levels: [fn(&mut MemConfig) -> &mut CacheGeometry; 4] =
+            [|m| &mut m.l1i, |m| &mut m.l1d, |m| &mut m.l2, |m| &mut m.l3];
+        let too_wide = |c: &SystemConfig| matches!(c.validate(), Err(Error::Config(m)) if m.contains("associativity"));
+        for level in levels {
+            let mut c = SystemConfig::default();
+            // Fully associative: one set, a power of two, so only the
+            // way cap can reject it.
+            let geom = level(&mut c.mem);
+            geom.associativity = geom.lines() as u32;
+            assert!(too_wide(&c), "{:?}", c.mem);
+            let geom = level(&mut c.mem);
+            geom.associativity = MAX_ASSOCIATIVITY;
+            assert!(c.validate().is_ok(), "{:?}", c.mem);
+        }
+        let mut c = SystemConfig::default();
+        c.pab.associativity = c.pab.entries;
+        assert!(too_wide(&c));
+        c.pab.associativity = MAX_ASSOCIATIVITY;
+        assert!(c.validate().is_ok());
     }
 
     #[test]

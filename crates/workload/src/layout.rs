@@ -43,6 +43,10 @@ const SHARED_BYTES: u64 = 64 << 20;
 const PRIVATE_OFFSET: u64 = 256 << 20;
 const PRIVATE_BYTES: u64 = 32 << 20;
 
+/// Private heaps per VM span (24). A VCPU's system-wide id picks its
+/// heap, so a machine runs at most this many VCPUs.
+pub const PRIVATE_HEAPS: usize = ((VM_SPAN - PRIVATE_OFFSET) / PRIVATE_BYTES) as usize;
+
 /// Address-layout oracle. Stateless; all methods are pure arithmetic.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AddressLayout;
@@ -101,11 +105,11 @@ impl AddressLayout {
     ///
     /// # Panics
     ///
-    /// Panics if the private heap for `vcpu` would overflow the VM span
-    /// (more than 24 VCPUs per VM).
+    /// Panics if `vcpu` has no heap in the VM span (its index is
+    /// [`PRIVATE_HEAPS`] or more).
     pub fn private_line(&self, vm: VmId, vcpu: VcpuId, idx: u64) -> LineAddr {
+        assert!(vcpu.index() < PRIVATE_HEAPS, "too many VCPUs for VM span");
         let off = PRIVATE_OFFSET + vcpu.index() as u64 * PRIVATE_BYTES;
-        assert!(off + PRIVATE_BYTES <= VM_SPAN, "too many VCPUs for VM span");
         let base = self.vm_base(vm).0 + off;
         PhysAddr(base + (idx * 64) % PRIVATE_BYTES).line()
     }
@@ -221,6 +225,7 @@ mod tests {
 
     #[test]
     fn private_heaps_fit_exactly_24_vcpus() {
+        assert_eq!(PRIVATE_HEAPS, 24);
         let l = AddressLayout::new();
         // VCPU 23's heap ends exactly at the VM span boundary.
         let last = l.private_line(VmId(0), VcpuId(23), PRIVATE_BYTES / 64 - 1);
