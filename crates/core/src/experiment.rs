@@ -190,16 +190,14 @@ impl Experiment {
         Ok(RunResult { workload, reports })
     }
 
-    /// Runs many workloads across a fixed pool of worker threads.
+    /// Runs many workloads on [`env_threads`] threads: the caller and
+    /// `env_threads() - 1` helpers.
     ///
     /// Each `(workload, seed)` pair is one job on a shared atomic
-    /// work-queue: workers claim the next job index with a
+    /// work-queue: each thread claims the next job index with a
     /// `fetch_add`, so a long run never strands the rest of a batch
-    /// behind it (the old implementation dispatched in fixed-size
-    /// chunks and barriered between chunks). The pool size is
-    /// [`env_threads`]; results are slotted by job index, so the
-    /// output — like every simulated run — is independent of the
-    /// thread count.
+    /// behind it. Results are slotted by job index, so the output —
+    /// like every simulated run — is independent of the thread count.
     pub fn run_many(&self, workloads: &[Workload]) -> Result<Vec<RunResult>> {
         self.run_many_on(workloads, env_threads())
     }
@@ -237,35 +235,33 @@ impl Experiment {
     }
 }
 
-/// Runs `count` jobs through a fixed pool of worker threads claiming
-/// job indices off a shared atomic counter — the work-queue behind
-/// [`Experiment::run_many_on`] and [`run_cells`]. Results come back
-/// unordered (tagged by whatever `job` returns); callers slot them by
-/// index, so output is independent of the thread count.
+/// Runs `count` jobs on the calling thread and `threads - 1` scoped
+/// helpers, each claiming job indices off a shared atomic counter —
+/// the work-queue behind [`Experiment::run_many_on`] and
+/// [`run_cells`]. One thread therefore starts no helper. Results come
+/// back unordered (tagged by whatever `job` returns); callers slot
+/// them by index, so output is independent of the thread count.
 fn run_queue<T: Send>(count: usize, threads: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let threads = threads.max(1).min(count.max(1));
     let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let k = next.fetch_add(1, Ordering::Relaxed);
+            if k >= count {
+                break;
+            }
+            done.push(job(k));
+        }
+        done
+    };
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let (next, job) = (&next, &job);
-                scope.spawn(move || {
-                    let mut done = Vec::new();
-                    loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        if k >= count {
-                            break;
-                        }
-                        done.push(job(k));
-                    }
-                    done
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("experiment thread panicked"))
-            .collect()
+        let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for h in helpers {
+            done.extend(h.join().expect("experiment thread panicked"));
+        }
+        done
     })
 }
 
@@ -454,6 +450,28 @@ mod tests {
                 b.reports[0].total_user_commits()
             );
         }
+    }
+
+    #[test]
+    fn the_work_queue_runs_on_its_caller() {
+        use std::collections::HashSet;
+        use std::sync::Barrier;
+        use std::thread;
+        let caller = thread::current().id();
+        let ids = run_queue(8, 1, |_| thread::current().id());
+        assert_eq!(ids, vec![caller; 8], "one thread starts no helper");
+        let ids: HashSet<_> = run_queue(64, 2, |_| thread::current().id())
+            .into_iter()
+            .collect();
+        assert!(ids.len() <= 2, "{} threads ran the jobs", ids.len());
+        // Two jobs that each wait for the other must run at once, so
+        // both threads take one: the caller and its one helper.
+        let barrier = Barrier::new(2);
+        let ids = run_queue(2, 2, |_| {
+            barrier.wait();
+            thread::current().id()
+        });
+        assert!(ids.contains(&caller) && ids[0] != ids[1], "{ids:?}");
     }
 
     #[test]

@@ -454,8 +454,8 @@ impl System {
             c.enable_phase_tracking();
         }
         let specs = workload.vcpu_specs(cfg)?;
-        // The streams, and the power-law tables they share, are built
-        // here; only their generation moves to the generator thread.
+        // The streams are built here; only their generation moves to
+        // the generator thread.
         let streams = specs
             .iter()
             .map(|s| OpStream::new(s.bench.profile(), s.vm, s.vcpu, seed))

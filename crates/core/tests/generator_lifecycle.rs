@@ -45,15 +45,9 @@ fn dropped_systems_leave_no_thread_behind() {
         Workload::ReunionDmr(Benchmark::Oltp),
         Workload::SingleOsMixed(Benchmark::Apache),
     ];
-    // The first machine of each benchmark builds its power-law tables
-    // on helper threads that `System::new` joins, but that the kernel
-    // may still count for a moment. Build those tables first and let
-    // the count settle, so `before` counts only this test's baseline.
-    let start = threads();
-    for w in &workloads {
-        drop(System::new(&cfg, *w, 1).unwrap());
-    }
-    let before = settled_threads(start);
+    // Set-up starts no thread but the generator, so the count before
+    // the first machine is the baseline.
+    let before = threads();
     let live: Vec<System> = workloads
         .iter()
         .map(|w| System::new(&cfg, *w, 1).unwrap())

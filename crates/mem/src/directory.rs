@@ -79,11 +79,9 @@ impl Directory {
     /// be transferred explicitly via [`Directory::clear_owner`].
     pub fn set_owner(&mut self, line: LineAddr, core: CoreId) {
         let e = self.entries.entry_or_default(line);
-        assert!(
-            e.owner.is_none() || e.owner == Some(core),
-            "line {line} already owned by {:?}",
-            e.owner
-        );
+        if let Some(owner) = e.owner.filter(|&o| o != core) {
+            already_owned(line, owner);
+        }
         e.owner = Some(core);
         e.sharers |= 1 << core.index();
     }
@@ -142,6 +140,14 @@ impl Directory {
     pub fn tracked_lines(&self) -> usize {
         self.entries.len()
     }
+}
+
+/// The [`Directory::set_owner`] panic, cold and out of line so that
+/// formatting its message costs the ownership path nothing.
+#[cold]
+#[inline(never)]
+fn already_owned(line: LineAddr, owner: CoreId) -> ! {
+    panic!("line {line} already owned by {owner:?}")
 }
 
 #[cfg(test)]

@@ -225,16 +225,19 @@ impl DetRng {
     }
 
     /// Power-law draw using precomputed constants from
-    /// [`PowerLaw::constants`] — the reference inverse-CDF path (one
-    /// `powf` per draw). Hot workload streams use
-    /// [`crate::sampler::PowerLawTable`] instead, bit-equal wherever
-    /// this path is monotone; this path remains the reference the
-    /// table is built from and verified against.
+    /// [`PowerLaw::constants`]: one inverse-CDF `powf` per draw.
     #[inline]
     pub fn power_law_prepared(&mut self, n: u64, a: f64, inv: f64) -> u64 {
         debug_assert!(n > 0, "power_law over empty domain");
         let u = self.unit();
-        power_law_eval(n, a, inv, u)
+        // Inverse-CDF of p(x) ~ (x+1)^(-skew) over a continuous domain,
+        // cheap and adequate for footprint modelling.
+        let x = if inv == 0.0 {
+            a.powf(u) - 1.0
+        } else {
+            (a * u + (1.0 - u)).powf(inv) - 1.0
+        };
+        (x as u64).min(n - 1)
     }
 
     /// Derives a child generator for a sub-component. The child stream
@@ -248,27 +251,6 @@ impl DetRng {
     }
 }
 
-/// The shared scalar evaluation of the truncated power-law inverse
-/// CDF at `u` ∈ [0, 1). This is the *single* definition used by both
-/// the per-draw `powf` reference path and the threshold-table
-/// construction in [`crate::sampler`], which is what makes the table
-/// bit-equal to the reference by construction.
-///
-/// `inv == 0.0` marks the exact Zipf case (`skew == 1`), where the
-/// inverse CDF is `(n+1)^u - 1` and `a` holds `n + 1`; `1/(1-skew)`
-/// is never zero for any other skew, so the marker is unambiguous.
-#[inline]
-pub fn power_law_eval(n: u64, a: f64, inv: f64, u: f64) -> u64 {
-    // Inverse-CDF of p(x) ~ (x+1)^(-skew) over a continuous domain,
-    // cheap and adequate for footprint modelling.
-    let x = if inv == 0.0 {
-        a.powf(u) - 1.0
-    } else {
-        (a * u + (1.0 - u)).powf(inv) - 1.0
-    };
-    (x as u64).min(n - 1)
-}
-
 /// Precomputed constants for [`DetRng::power_law_prepared`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PowerLaw {
@@ -276,8 +258,9 @@ pub struct PowerLaw {
     pub n: u64,
     /// `(n + 1)^(1 - skew)`, or `n + 1` in the Zipf case (`skew == 1`).
     pub a: f64,
-    /// `1 / (1 - skew)`, or the `0.0` Zipf marker (see
-    /// [`power_law_eval`]).
+    /// `1 / (1 - skew)`, or `0.0` in the Zipf case, where the inverse
+    /// CDF is `(n + 1)^u - 1`. `1 / (1 - skew)` is never zero, so the
+    /// marker is unambiguous.
     pub inv: f64,
 }
 
@@ -293,7 +276,7 @@ impl PowerLaw {
     }
 
     /// The raw `(a, inv)` pair. `skew == 1` (exact Zipf) yields the
-    /// `(n + 1, 0.0)` marker encoding described on [`power_law_eval`].
+    /// `(n + 1, 0.0)` marker encoding described on [`PowerLaw::inv`].
     pub fn constants(n: u64, skew: f64) -> (f64, f64) {
         assert!(n > 0, "power_law over empty domain");
         assert!(skew > 0.0, "skew must be positive");

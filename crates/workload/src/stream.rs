@@ -12,7 +12,7 @@
 //! stream — which is what makes multi-configuration comparisons (DMR
 //! vs MMM) run the *same work* in every configuration.
 
-use mmm_types::sampler::{self, PowerLawSampler};
+use mmm_types::rng::PowerLaw;
 use mmm_types::{DetRng, PhysAddr, VcpuId, VmId};
 
 use crate::layout::AddressLayout;
@@ -24,86 +24,30 @@ use crate::profile::{PhaseProfile, WorkloadProfile};
 /// rather than the read-hot head; see [`PhaseProfile::store_share_scale`]).
 const STORE_SPREAD_SKEW: f64 = 1.05;
 
-/// Precomputed power-law samplers for one phase's regions. Each is
-/// table-driven (built once per distinct `(lines, skew)` pair via the
-/// process-global cache in `mmm_types::sampler`) and, on every pair
-/// the built-in profiles use, bit-equal to the per-draw `powf`
-/// reference path it replaced.
+/// Power-law samplers for one phase's regions; `None` marks a region
+/// the phase lacks.
 #[derive(Clone, Debug)]
 struct PhaseSamplers {
-    hot: PowerLawSampler,
-    private: PowerLawSampler,
-    os: Option<PowerLawSampler>,
-    shared: Option<PowerLawSampler>,
-    os_store: Option<PowerLawSampler>,
-    shared_store: Option<PowerLawSampler>,
-    code: PowerLawSampler,
+    hot: PowerLaw,
+    private: PowerLaw,
+    os: Option<PowerLaw>,
+    shared: Option<PowerLaw>,
+    os_store: Option<PowerLaw>,
+    shared_store: Option<PowerLaw>,
+    code: PowerLaw,
 }
 
 impl PhaseSamplers {
-    /// The `(n, skew)` of each sampler, in field order; `n == 0` marks
-    /// a region the phase lacks. The one list of the tables a phase
-    /// uses: [`PhaseSamplers::new`] builds from it and
-    /// [`StreamSamplers::new`] prebuilds it.
-    fn params(p: &PhaseProfile) -> [(u64, f64); 7] {
-        [
-            (p.hot_lines, p.skew),
-            (p.private_lines, p.skew),
-            (p.os_lines, p.skew),
-            (p.shared_lines, p.skew),
-            (p.os_lines, STORE_SPREAD_SKEW),
-            (p.shared_lines, STORE_SPREAD_SKEW),
-            (p.code_lines, p.code_skew),
-        ]
-    }
-
     fn new(p: &PhaseProfile) -> Self {
-        let [hot, private, os, shared, os_store, shared_store, code] = Self::params(p);
-        let new = |(n, skew): (u64, f64)| PowerLawSampler::new(n, skew);
-        let opt = |(n, skew): (u64, f64)| (n > 0).then(|| new((n, skew)));
+        let opt = |n: u64, skew: f64| (n > 0).then(|| PowerLaw::new(n, skew));
         Self {
-            hot: new(hot),
-            private: new(private),
-            os: opt(os),
-            shared: opt(shared),
-            os_store: opt(os_store),
-            shared_store: opt(shared_store),
-            code: new(code),
-        }
-    }
-}
-
-#[cfg(test)]
-impl PhaseSamplers {
-    /// Every sampler this phase holds.
-    fn all(&self) -> impl Iterator<Item = &PowerLawSampler> {
-        [&self.hot, &self.private, &self.code]
-            .into_iter()
-            .chain(self.os.iter())
-            .chain(self.shared.iter())
-            .chain(self.os_store.iter())
-            .chain(self.shared_store.iter())
-    }
-}
-
-/// All precomputed samplers for one stream, indexed `[user, os]`.
-#[derive(Clone, Debug)]
-struct StreamSamplers {
-    phase: [PhaseSamplers; 2],
-}
-
-impl StreamSamplers {
-    /// Builds the tables of both phases that the process still lacks
-    /// on every host CPU (see [`sampler::build_tables`]), then takes
-    /// each sampler's table from the cache.
-    fn new(profile: &WorkloadProfile) -> Self {
-        let [user, os] = [&profile.user, &profile.os].map(PhaseSamplers::params);
-        sampler::build_tables(&[user, os].concat());
-        Self {
-            phase: [
-                PhaseSamplers::new(&profile.user),
-                PhaseSamplers::new(&profile.os),
-            ],
+            hot: PowerLaw::new(p.hot_lines, p.skew),
+            private: PowerLaw::new(p.private_lines, p.skew),
+            os: opt(p.os_lines, p.skew),
+            shared: opt(p.shared_lines, p.skew),
+            os_store: opt(p.os_lines, STORE_SPREAD_SKEW),
+            shared_store: opt(p.shared_lines, STORE_SPREAD_SKEW),
+            code: PowerLaw::new(p.code_lines, p.code_skew),
         }
     }
 }
@@ -128,8 +72,8 @@ pub struct OpStream {
     fetch_cursor: u64,
     /// Total ops generated (diagnostics).
     generated: u64,
-    /// Precomputed table-driven samplers for both privilege phases.
-    draws: StreamSamplers,
+    /// Samplers for both privilege phases, indexed `[user, os]`.
+    draws: [PhaseSamplers; 2],
 }
 
 impl OpStream {
@@ -158,7 +102,10 @@ impl OpStream {
                 rng.geometric(1.0 / profile.mean_os_insts as f64),
             )
         };
-        let draws = StreamSamplers::new(&profile);
+        let draws = [
+            PhaseSamplers::new(&profile.user),
+            PhaseSamplers::new(&profile.os),
+        ];
         Self {
             profile,
             layout: AddressLayout::new(),
@@ -276,7 +223,7 @@ impl OpStream {
         if class == OpClass::Branch && self.rng.chance(phase.jump_rate) {
             // Jump to a power-law-popular code line (hot loops
             // dominate branch targets).
-            let code = &self.draws.phase[match self.privilege {
+            let code = &self.draws[match self.privilege {
                 Privilege::User => 0,
                 Privilege::Os => 1,
             }]
@@ -308,15 +255,12 @@ impl OpStream {
     /// rest goes to the OS region, shared heap, or full private
     /// footprint, each with power-law reuse.
     fn data_address(&mut self, phase: &PhaseProfile, is_store: bool) -> PhysAddr {
-        // Samplers are borrowed in place (they are `Arc`-backed, not
-        // `Copy`); each call touches disjoint fields of `self`, so no
-        // clone happens on this per-load/store path.
         let di = match self.privilege {
             Privilege::User => 0,
             Privilege::Os => 1,
         };
         if self.rng.chance(phase.p_hot) {
-            let idx = self.draws.phase[di].hot.sample(&mut self.rng);
+            let idx = self.draws[di].hot.sample(&mut self.rng);
             let line = self.layout.private_line(self.vm, self.vcpu, idx);
             return PhysAddr(line.base().0 + self.rng.below(8) * 8);
         }
@@ -341,26 +285,26 @@ impl OpStream {
         };
         let r = self.rng.unit();
         let os_draw = if is_store {
-            &self.draws.phase[di].os_store
+            &self.draws[di].os_store
         } else {
-            &self.draws.phase[di].os
+            &self.draws[di].os
         };
         let line = if let Some(pl) = os_draw.as_ref().filter(|_| r < p_os) {
-            let (raw, n) = (pl.sample(&mut self.rng), pl.n());
+            let (raw, n) = (pl.sample(&mut self.rng), pl.n);
             let idx = self.affine_index(raw, n, phase, is_store);
             self.layout.os_line(self.vm, idx)
         } else {
             let shared_draw = if is_store {
-                &self.draws.phase[di].shared_store
+                &self.draws[di].shared_store
             } else {
-                &self.draws.phase[di].shared
+                &self.draws[di].shared
             };
             if let Some(pl) = shared_draw.as_ref().filter(|_| r < p_os + p_shared) {
-                let (raw, n) = (pl.sample(&mut self.rng), pl.n());
+                let (raw, n) = (pl.sample(&mut self.rng), pl.n);
                 let idx = self.affine_index(raw, n, phase, is_store);
                 self.layout.shared_line(self.vm, idx)
             } else {
-                let idx = self.draws.phase[di].private.sample(&mut self.rng);
+                let idx = self.draws[di].private.sample(&mut self.rng);
                 self.layout.private_line(self.vm, self.vcpu, idx)
             }
         };
@@ -417,130 +361,9 @@ mod tests {
     use super::*;
     use crate::benchmarks::Benchmark;
     use mmm_types::ids::PAGE_BYTES;
-    use mmm_types::rng::{power_law_eval, PowerLaw};
-    use mmm_types::sampler::PowerLawTable;
 
     fn stream(b: Benchmark) -> OpStream {
         OpStream::new(b.profile(), VmId(0), VcpuId(1), 42)
-    }
-
-    /// The `(n, skew)` pairs of [`profile_tables`]. mmm-types' sampler
-    /// tests check the table build on the same list; update both when a
-    /// profile changes.
-    const PROFILE_PAIRS: [(u64, f64); 34] = [
-        (128, 1.3),
-        (128, 1.35),
-        (128, 1.5),
-        (256, 1.05),
-        (256, 1.3),
-        (256, 1.5),
-        (512, 1.05),
-        (512, 1.3),
-        (512, 1.5),
-        (1024, 2.2),
-        (3072, 2.2),
-        (4096, 1.9),
-        (6144, 1.8),
-        (7000, 1.5),
-        (8000, 1.05),
-        (8000, 1.3),
-        (8000, 1.35),
-        (8000, 1.5),
-        (12000, 1.35),
-        (12500, 1.35),
-        (13000, 1.35),
-        (16000, 1.05),
-        (16000, 1.3),
-        (24000, 1.05),
-        (24000, 1.3),
-        (24000, 1.5),
-        (30000, 1.5),
-        (48000, 1.05),
-        (48000, 1.3),
-        (48000, 1.35),
-        (64000, 1.05),
-        (64000, 1.35),
-        (80000, 1.05),
-        (80000, 1.35),
-    ];
-
-    /// Every distinct table the built-in profiles' samplers use,
-    /// ordered by `(n, skew)`.
-    fn profile_tables() -> Vec<PowerLawTable> {
-        let mut tables: Vec<PowerLawTable> = Vec::new();
-        for b in Benchmark::all().into_iter().chain([Benchmark::SpecLike]) {
-            for phase in &StreamSamplers::new(&b.profile()).phase {
-                for sampler in phase.all() {
-                    let PowerLawSampler::Table(t) = sampler else {
-                        panic!("{} builds a domain above the table-size guard", b.name());
-                    };
-                    if !tables
-                        .iter()
-                        .any(|u| (u.n(), u.skew()) == (t.n(), t.skew()))
-                    {
-                        tables.push(t.clone());
-                    }
-                }
-            }
-        }
-        tables.sort_by(|a, b| (a.n(), a.skew()).partial_cmp(&(b.n(), b.skew())).unwrap());
-        tables
-    }
-
-    #[test]
-    fn profile_pairs_are_the_ones_the_sampler_tests_check() {
-        let pairs: Vec<(u64, f64)> = profile_tables().iter().map(|t| (t.n(), t.skew())).collect();
-        assert_eq!(pairs, PROFILE_PAIRS);
-        // `StreamSamplers::new` prebuilds exactly these.
-        let mut params: Vec<(u64, f64)> = Benchmark::all()
-            .into_iter()
-            .chain([Benchmark::SpecLike])
-            .flat_map(|b| {
-                let profile = b.profile();
-                [profile.user, profile.os]
-            })
-            .flat_map(|phase| PhaseSamplers::params(&phase))
-            .filter(|&(n, _)| n > 0)
-            .collect();
-        params.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        params.dedup();
-        assert_eq!(params, PROFILE_PAIRS);
-    }
-
-    #[test]
-    fn profile_tables_agree_with_power_law_eval_at_every_boundary() {
-        const MAX_R: u64 = (1 << 53) - 1;
-        for t in &profile_tables() {
-            let (n, skew) = (t.n(), t.skew());
-            let (a, inv) = PowerLaw::constants(n, skew);
-            let eval = |r: u64| power_law_eval(n, a, inv, r as f64 / (1u64 << 53) as f64);
-            let mut first = 0u64;
-            for k in 1..n {
-                if t.lookup(MAX_R) < k {
-                    break;
-                }
-                // First raw draw the table maps to k or above.
-                if t.lookup(first) < k {
-                    let (mut lo, mut hi) = (first, MAX_R);
-                    while lo + 1 < hi {
-                        let m = lo + (hi - lo) / 2;
-                        if t.lookup(m) >= k {
-                            hi = m;
-                        } else {
-                            lo = m;
-                        }
-                    }
-                    first = hi;
-                }
-                for r in [first - 1, first, (first + 1).min(MAX_R)] {
-                    assert_eq!(
-                        t.lookup(r),
-                        eval(r),
-                        "r={r} (k={k}) diverged for n={n} skew={skew}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -155,6 +155,8 @@ impl std::fmt::Display for TraceDecodeError {
 impl std::error::Error for TraceDecodeError {}
 
 const TRACE_MAGIC: &[u8; 4] = b"MMT1";
+/// The shortest record: flags, latency and fetch address.
+const MIN_RECORD_BYTES: usize = 10;
 
 impl Trace {
     /// Serializes the trace to a compact binary blob (magic + header +
@@ -216,7 +218,9 @@ impl Trace {
         let vcpu = VcpuId(u16::from_le_bytes(bytes[6..8].try_into().expect("2 bytes")));
         let count = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")) as usize;
         let mut pos = 16;
-        let mut ops = Vec::with_capacity(count.min(1 << 24));
+        // The input bounds the reservation, whatever count the header
+        // claims.
+        let mut ops = Vec::with_capacity(count.min((bytes.len() - pos) / MIN_RECORD_BYTES));
         for index in 0..count {
             let head = take(bytes, pos, 2)?;
             let (flags, exec_latency) = (head[0], head[1]);
@@ -327,6 +331,7 @@ impl TraceReplay {
 mod tests {
     use super::*;
     use crate::benchmarks::Benchmark;
+    use mmm_types::DetRng;
 
     fn stream() -> OpStream {
         OpStream::new(Benchmark::Apache.profile(), VmId(0), VcpuId(3), 17)
@@ -454,6 +459,56 @@ mod tests {
             Err(TraceDecodeError::Corrupt { index: 0 }) => {}
             other => panic!("expected corrupt-at-0, got {other:?}"),
         }
+    }
+
+    /// Truncates `bytes`, flips a bit, writes a large count, or
+    /// duplicates or drops one record, as `rng` picks.
+    fn mutate(bytes: &[u8], starts: &[usize], rng: &mut DetRng) -> Vec<u8> {
+        let mut b = bytes.to_vec();
+        let at = rng.below(b.len() as u64) as usize;
+        let r = rng.below(starts.len() as u64 - 1) as usize;
+        let record = starts[r]..starts[r + 1];
+        match rng.below(5) {
+            0 => b.truncate(at),
+            1 => b[at] ^= 1 << rng.below(8),
+            2 => b[8..16].copy_from_slice(&(u64::MAX >> rng.below(40)).to_le_bytes()),
+            3 => {
+                let copy = b[record.clone()].to_vec();
+                b.splice(record.start..record.start, copy);
+            }
+            _ => drop(b.drain(record)),
+        }
+        b
+    }
+
+    #[test]
+    fn mutated_traces_decode_or_fail_without_a_panic() {
+        let trace = Trace::record(&mut stream(), 200);
+        let bytes = trace.to_bytes();
+        // Where each record starts, and where the last one ends.
+        let mut starts = vec![16];
+        for op in trace.ops() {
+            let len = MIN_RECORD_BYTES + if op.data_addr.is_some() { 8 } else { 0 };
+            starts.push(starts.last().unwrap() + len);
+        }
+        assert_eq!(*starts.last().unwrap(), bytes.len());
+        let mut rng = DetRng::new(19, 0);
+        let mut refused = 0;
+        for _ in 0..1_000 {
+            let mutant = mutate(&bytes, &starts, &mut rng);
+            match Trace::from_bytes(&mutant) {
+                Err(_) => refused += 1,
+                Ok(t) => {
+                    let again = t.to_bytes();
+                    assert!(
+                        mutant.starts_with(&again),
+                        "re-encoding differs from the input"
+                    );
+                    assert_eq!(Trace::from_bytes(&again), Ok(t));
+                }
+            }
+        }
+        assert!(refused > 300, "only {refused} of 1000 mutants refused");
     }
 
     #[test]
