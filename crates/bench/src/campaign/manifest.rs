@@ -46,6 +46,9 @@ pub const DEFAULT_WARMUP: u64 = 20_000;
 /// Default measured cycles per cell when the manifest does not say.
 pub const DEFAULT_MEASURE: u64 = 100_000;
 
+/// Most cells a grid may hold: cell ids are written `cell-{id:05}`.
+pub const MAX_CELLS: usize = 100_000;
+
 /// The scheduler-mode axis: which machine configuration a cell runs.
 /// A manifest spells these `nodmr2x`, `nodmr`, `reunion`, `dmr_base`,
 /// `mmm_ipc`, `mmm_tp`, `single_os`, or `overcommit:<R>r<P>p`.
@@ -427,21 +430,38 @@ impl Manifest {
         Ok(m)
     }
 
-    /// Total number of grid cells.
+    /// Total number of grid cells, or `usize::MAX` if the product of
+    /// the axis lengths overflows.
     pub fn cell_count(&self) -> usize {
-        self.benchmark.len()
-            * self.workload.len()
-            * self.cores.len()
-            * self.pab_entries.len()
-            * self.pab_lookup.len()
-            * self.pab_serial_latency.len()
-            * self.fault_rate.len()
-            * self.switch_interval.len()
+        [
+            self.benchmark.len(),
+            self.workload.len(),
+            self.cores.len(),
+            self.pab_entries.len(),
+            self.pab_lookup.len(),
+            self.pab_serial_latency.len(),
+            self.fault_rate.len(),
+            self.switch_interval.len(),
+        ]
+        .into_iter()
+        .try_fold(1usize, usize::checked_mul)
+        .unwrap_or(usize::MAX)
     }
 
     /// Expands the grid, row-major over [`AXES`], into runnable cells.
+    /// A grid of more than [`MAX_CELLS`] cells is an error.
     pub fn cells(&self) -> Result<Vec<CellSpec>, String> {
-        let mut out = Vec::with_capacity(self.cell_count());
+        let count = self.cell_count();
+        if count > MAX_CELLS {
+            let count = match count {
+                usize::MAX => format!("more than {}", usize::MAX),
+                n => n.to_string(),
+            };
+            return Err(format!(
+                "the grid has {count} cells; a campaign holds at most {MAX_CELLS}"
+            ));
+        }
+        let mut out = Vec::with_capacity(count);
         for &bench in &self.benchmark {
             for &spec in &self.workload {
                 for &cores in &self.cores {
@@ -611,6 +631,7 @@ impl Manifest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmm_types::DetRng;
 
     const SMOKE: &str = r#"{
         "name": "smoke",
@@ -643,6 +664,99 @@ mod tests {
             assert_eq!(c.cell.experiment.measure, 8000);
             assert_eq!(c.cell.experiment.seeds, vec![1]);
         }
+    }
+
+    /// A manifest whose first `axes` axes have `values` values each.
+    fn wide_grid(axes: usize, values: usize) -> String {
+        let axis = [
+            ("cores", "4"),
+            ("pab_entries", "64"),
+            ("pab_serial_latency", "4"),
+            ("fault_rate", "0"),
+            ("switch_interval", "4"),
+            ("pab_lookup", "\"serial\""),
+        ];
+        let grid: Vec<String> = axis[..axes]
+            .iter()
+            .map(|(name, value)| format!("\"{name}\":[{}]", vec![*value; values].join(",")))
+            .collect();
+        format!("{{\"name\":\"wide\",\"grid\":{{{}}}}}", grid.join(","))
+    }
+
+    #[test]
+    fn grids_past_the_cell_limit_are_refused() {
+        // 400^4 cells once asked the allocator for 8.8 TB, and 3000^6
+        // overflows the count.
+        let err = Manifest::parse(&wide_grid(4, 400)).unwrap_err();
+        assert!(err.contains("the grid has 25600000000 cells"), "{err}");
+        assert!(err.contains("at most 100000"), "{err}");
+        let err = Manifest::parse(&wide_grid(6, 3000)).unwrap_err();
+        assert!(
+            err.contains("more than 18446744073709551615 cells"),
+            "{err}"
+        );
+        let m = Manifest::parse(&wide_grid(2, 10)).unwrap();
+        assert_eq!(m.cell_count(), 100);
+        let at_limit = Manifest {
+            benchmark: vec![Benchmark::Pmake; 1000],
+            ..m.clone()
+        };
+        assert_eq!(at_limit.cell_count(), MAX_CELLS);
+        let past = Manifest {
+            benchmark: vec![Benchmark::Pmake; 1001],
+            ..m
+        };
+        assert!(past.cells().unwrap_err().contains("100100 cells"));
+    }
+
+    /// Truncates `text`, flips a bit of one byte, duplicates or drops
+    /// one bracket, or replaces one number with 0, -1 or 1e300, as
+    /// `rng` picks.
+    fn mutate(text: &str, rng: &mut DetRng) -> String {
+        let mut b = text.as_bytes().to_vec();
+        let brackets: Vec<usize> = (0..b.len()).filter(|&i| b"[]{}".contains(&b[i])).collect();
+        let in_number = |c: &u8| b"0123456789.eE+-".contains(c);
+        let numbers: Vec<usize> = (0..b.len())
+            .filter(|&i| b[i].is_ascii_digit() && (i == 0 || !in_number(&b[i - 1])))
+            .collect();
+        let at = rng.below(b.len() as u64) as usize;
+        let bracket = brackets[rng.below(brackets.len() as u64) as usize];
+        let number = numbers[rng.below(numbers.len() as u64) as usize];
+        match rng.below(5) {
+            0 => b.truncate(at),
+            1 => b[at] ^= 1 << rng.below(7),
+            2 => b.insert(bracket, b[bracket]),
+            3 => drop(b.remove(bracket)),
+            _ => {
+                let end = number + b[number..].iter().take_while(|c| in_number(c)).count();
+                let with = ["0", "-1", "1e300"][rng.below(3) as usize];
+                b.splice(number..end, with.bytes());
+            }
+        }
+        String::from_utf8_lossy(&b).into_owned()
+    }
+
+    #[test]
+    fn mutated_manifests_parse_or_fail_without_a_panic() {
+        let real = [
+            include_str!("../../../../manifests/smoke.json"),
+            include_str!("../../../../manifests/pab_sweep.json"),
+        ];
+        let mut rng = DetRng::new(21, 0);
+        let mut refused = 0;
+        for case in 0..1_000 {
+            let text = mutate(real[case % real.len()], &mut rng);
+            match Manifest::parse(&text) {
+                Err(_) => refused += 1,
+                // Parsing validated every cell; an accepted mutant is
+                // a whole manifest that its canonical form restates.
+                Ok(m) => {
+                    let again = Manifest::parse(&m.canonical_json().render());
+                    assert_eq!(again.as_ref(), Ok(&m), "{text}");
+                }
+            }
+        }
+        assert!(refused > 800, "only {refused} of 1000 mutants refused");
     }
 
     #[test]

@@ -70,10 +70,16 @@ struct OpRecord {
     obs: [Option<(LineAddr, VersionToken)>; 2],
 }
 
-/// Initial record-ring capacity (power of two): the prune window
-/// (1024) plus an instruction window of headroom, so the steady state
-/// never grows.
-const REC_RING_CAP: usize = 2048;
+/// Records kept behind the seq a gate polls (see
+/// [`PairChannel::prune_below`]).
+const PRUNE_WINDOW: u64 = 1024;
+
+/// Initial record-ring capacity: the smallest power of two above the
+/// prune window, which also holds the dispatch lead of one instruction
+/// window past it. The live span peaked at 1154 records (1024 + 130)
+/// in every paired workload of the benchmark and in Fig 5, so the
+/// steady state never grows.
+const REC_RING_CAP: usize = (PRUNE_WINDOW as usize + 1).next_power_of_two();
 
 /// The exchange channel shared by the two gates of a DMR pair
 /// (`mmm-reunion`'s `DmrPair`).
@@ -85,6 +91,9 @@ pub struct PairChannel {
     /// the live span `[base_seq, base_seq + live)`. Slots are never
     /// cleared — every field of a record is written by the publishes
     /// that precede any read of it, so stale contents are unreachable.
+    /// The ring starts empty with room for `rec_mask + 1` slots, and a
+    /// publish to a slot past its length first extends it, so set-up
+    /// writes none of it.
     records: Vec<OpRecord>,
     rec_mask: u64,
     /// Number of live records (what `records.len()` was when this was
@@ -118,7 +127,7 @@ impl PairChannel {
         Self {
             cfg,
             base_seq,
-            records: vec![OpRecord::default(); REC_RING_CAP],
+            records: Vec::with_capacity(REC_RING_CAP),
             rec_mask: REC_RING_CAP as u64 - 1,
             live: 0,
             published: [None; 2],
@@ -201,7 +210,7 @@ impl PairChannel {
     /// prune window while dispatch keeps publishing.
     #[cold]
     fn grow(&mut self) {
-        let new_cap = self.records.len() * 2;
+        let new_cap = (self.rec_mask as usize + 1) * 2;
         let new_mask = new_cap as u64 - 1;
         let mut new_ring = vec![OpRecord::default(); new_cap];
         for q in self.base_seq..self.base_seq + self.live {
@@ -236,11 +245,14 @@ impl PairChannel {
         let rel = seq - self.base_seq;
         if rel >= self.live {
             self.live = rel + 1;
-            while self.live > self.records.len() as u64 {
+            while self.live > self.rec_mask + 1 {
                 self.grow();
             }
         }
         let idx = self.rec_index(seq);
+        if idx >= self.records.len() {
+            self.records.resize(idx + 1, OpRecord::default());
+        }
         self.prefix[i] = self.prefix[i].max(exec_done);
         let rec = &mut self.records[idx];
         rec.prefix_done[i] = self.prefix[i];
@@ -379,7 +391,7 @@ impl PairChannel {
     /// they can no longer be queried. Called opportunistically by the
     /// gates.
     pub fn prune_below(&mut self, seq: u64) {
-        let keep_from = seq.saturating_sub(1024).max(self.base_seq);
+        let keep_from = seq.saturating_sub(PRUNE_WINDOW).max(self.base_seq);
         let advance = (keep_from - self.base_seq).min(self.live);
         self.base_seq += advance;
         self.live -= advance;

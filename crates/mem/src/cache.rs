@@ -24,6 +24,17 @@
 //! was filled, and lookups, updates and inserts move their way to the
 //! front. Invalidations, drains and clears leave the recency word
 //! alone, as they leave a stamp-based LRU's stamps.
+//!
+//! All-zero bytes are an empty cache: a zero tag word is an empty way,
+//! and each recency word is stored XORed with `FRESH_RECENCY`, so a
+//! never-touched set reads as ways 0, 1, 2, … from MRU to LRU. Both
+//! arrays are zeroed integer `vec!`s. The allocator maps a large one
+//! as fresh zero pages without writing it, so building it costs no
+//! memset and a page becomes resident only when a run first touches
+//! it; a [`CacheBank`] keeps a level's per-core arrays in one such
+//! allocation.
+
+use std::ops::{Deref, DerefMut};
 
 use mmm_types::config::CacheGeometry;
 use mmm_types::LineAddr;
@@ -89,58 +100,51 @@ const ADDR_SHIFT: u32 = 4;
 /// The tag bits an address probe compares: address and valid bit.
 const MATCH: u64 = !(COHERENT | STATE);
 /// Recency word of a set that was never touched: ways 0, 1, 2, … from
-/// MRU to LRU (only the low `associativity` nibbles are read).
+/// MRU to LRU (only the low `associativity` nibbles are read). Words
+/// are stored XORed with it, so a zeroed word is a fresh set.
 const FRESH_RECENCY: u64 = 0xFEDC_BA98_7654_3210;
 
-/// One way: the packed tag word and the version token.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Way {
-    tag: u64,
-    version: VersionToken,
+/// One way: `[tag word, version token]`. Plain integers, so a zeroed
+/// allocation is a cache of empty ways.
+type Way = [u64; 2];
+
+const EMPTY: Way = [0; 2];
+
+fn pack(line: CacheLine) -> Way {
+    // A constant message: formatting the address into it spilled every
+    // inserted line to the stack and made fills about 1.6x slower.
+    assert!(
+        line.addr.0 >> (64 - ADDR_SHIFT) == 0,
+        "line address exceeds the tag width"
+    );
+    let state = match line.state {
+        Mosi::Shared => 0,
+        Mosi::Owned => 1,
+        Mosi::Modified => 2,
+    };
+    [
+        probe_key(line.addr) | if line.coherent { COHERENT } else { 0 } | state << STATE_SHIFT,
+        line.version,
+    ]
 }
 
-impl Way {
-    const EMPTY: Way = Way { tag: 0, version: 0 };
-
-    fn pack(line: CacheLine) -> Way {
-        // A constant message: formatting the address into it spilled
-        // every inserted line to the stack and made fills about 1.6x
-        // slower.
-        assert!(
-            line.addr.0 >> (64 - ADDR_SHIFT) == 0,
-            "line address exceeds the tag width"
-        );
-        let state = match line.state {
-            Mosi::Shared => 0,
-            Mosi::Owned => 1,
-            Mosi::Modified => 2,
-        };
-        Way {
-            tag: probe_key(line.addr)
-                | if line.coherent { COHERENT } else { 0 }
-                | state << STATE_SHIFT,
-            version: line.version,
-        }
+#[inline]
+fn unpack([tag, version]: Way) -> CacheLine {
+    CacheLine {
+        addr: LineAddr(tag >> ADDR_SHIFT),
+        state: match (tag & STATE) >> STATE_SHIFT {
+            0 => Mosi::Shared,
+            1 => Mosi::Owned,
+            _ => Mosi::Modified,
+        },
+        version,
+        coherent: tag & COHERENT != 0,
     }
+}
 
-    #[inline]
-    fn unpack(self) -> CacheLine {
-        CacheLine {
-            addr: LineAddr(self.tag >> ADDR_SHIFT),
-            state: match (self.tag & STATE) >> STATE_SHIFT {
-                0 => Mosi::Shared,
-                1 => Mosi::Owned,
-                _ => Mosi::Modified,
-            },
-            version: self.version,
-            coherent: self.tag & COHERENT != 0,
-        }
-    }
-
-    #[inline]
-    fn is_valid(self) -> bool {
-        self.tag & VALID != 0
-    }
+#[inline]
+fn is_valid([tag, _]: Way) -> bool {
+    tag & VALID != 0
 }
 
 /// The tag bits a resident copy of `addr` matches under [`MATCH`].
@@ -173,14 +177,34 @@ fn promote(recency: u64, pos: usize) -> u64 {
     recency & !through | (recency & below) << 4 | way_at(recency, pos) as u64
 }
 
-/// A set-associative cache with true-LRU replacement.
+/// A set-associative cache with true-LRU replacement, over any
+/// storage of its ways and recency words: a [`SetAssocCache`] owns
+/// its arrays, and a [`CacheBank`] lends out one of its caches.
 #[derive(Clone, Debug)]
-pub struct SetAssocCache {
-    ways: Vec<Way>,
-    /// One word per set: 4-bit way numbers from MRU to LRU.
-    recency: Vec<u64>,
+pub struct Cache<W, R> {
+    ways: W,
+    /// One word per set: 4-bit way numbers from MRU to LRU, XORed with
+    /// [`FRESH_RECENCY`] (read through [`Self::recency`]).
+    recency: R,
     assoc: usize,
     set_mask: u64,
+}
+
+/// A cache that owns its arrays.
+pub type SetAssocCache = Cache<Vec<Way>, Vec<u64>>;
+
+/// `count` empty caches of geometry `geom`, set after set in one pair
+/// of zeroed arrays; `set_mask` indexes one cache's sets.
+fn zeroed(geom: CacheGeometry, count: usize) -> SetAssocCache {
+    geom.validate().expect("invalid cache geometry");
+    let sets = geom.sets() as usize;
+    let assoc = geom.associativity as usize;
+    Cache {
+        ways: vec![EMPTY; count * sets * assoc],
+        recency: vec![0; count * sets],
+        assoc,
+        set_mask: sets as u64 - 1,
+    }
 }
 
 impl SetAssocCache {
@@ -190,15 +214,63 @@ impl SetAssocCache {
     ///
     /// Panics if the geometry fails validation.
     pub fn new(geom: CacheGeometry) -> Self {
-        geom.validate().expect("invalid cache geometry");
-        let sets = geom.sets() as usize;
-        let assoc = geom.associativity as usize;
+        zeroed(geom, 1)
+    }
+}
+
+/// Equal caches whose ways, and whose recency words, share one
+/// allocation each: a machine's per-core L1s or L2s. A level's ways
+/// in one zeroed array are one fresh mapping, where one array per core
+/// may be carved from the heap and cleared.
+#[derive(Clone, Debug)]
+pub struct CacheBank {
+    all: SetAssocCache,
+    /// Sets per cache.
+    sets: usize,
+}
+
+impl CacheBank {
+    /// Builds `count` empty caches with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry fails validation.
+    pub fn new(geom: CacheGeometry, count: usize) -> Self {
         Self {
-            ways: vec![Way::EMPTY; sets * assoc],
-            recency: vec![FRESH_RECENCY; sets],
-            assoc,
-            set_mask: sets as u64 - 1,
+            all: zeroed(geom, count),
+            sets: geom.sets() as usize,
         }
+    }
+
+    /// Cache `i`, to read.
+    #[inline]
+    pub fn get(&self, i: usize) -> Cache<&[Way], &[u64]> {
+        let (sets, assoc) = (self.sets, self.all.assoc);
+        Cache {
+            ways: &self.all.ways[i * sets * assoc..(i + 1) * sets * assoc],
+            recency: &self.all.recency[i * sets..(i + 1) * sets],
+            assoc,
+            set_mask: self.all.set_mask,
+        }
+    }
+
+    /// Cache `i`, to read and change.
+    #[inline]
+    pub fn get_mut(&mut self, i: usize) -> Cache<&mut [Way], &mut [u64]> {
+        let (sets, assoc) = (self.sets, self.all.assoc);
+        Cache {
+            ways: &mut self.all.ways[i * sets * assoc..(i + 1) * sets * assoc],
+            recency: &mut self.all.recency[i * sets..(i + 1) * sets],
+            assoc,
+            set_mask: self.all.set_mask,
+        }
+    }
+}
+
+impl<W: Deref<Target = [Way]>, R: Deref<Target = [u64]>> Cache<W, R> {
+    #[inline]
+    fn recency(&self, set: usize) -> u64 {
+        self.recency[set] ^ FRESH_RECENCY
     }
 
     /// Total slots (sets × ways).
@@ -219,8 +291,28 @@ impl SetAssocCache {
         let key = probe_key(addr);
         self.ways[base..base + self.assoc]
             .iter()
-            .position(|w| w.tag & MATCH == key)
+            .position(|&[tag, _]| tag & MATCH == key)
             .map(|way| base + way)
+    }
+
+    /// Looks up `addr` without touching LRU state (for probes that
+    /// must not perturb replacement, e.g. mute best-effort reads of
+    /// other caches and directory consistency checks).
+    #[inline]
+    pub fn peek(&self, addr: LineAddr) -> Option<CacheLine> {
+        self.find(addr).map(|i| unpack(self.ways[i]))
+    }
+
+    /// Number of resident lines.
+    pub fn occupancy(&self) -> usize {
+        self.ways.iter().filter(|&&w| is_valid(w)).count()
+    }
+}
+
+impl<W: DerefMut<Target = [Way]>, R: DerefMut<Target = [u64]>> Cache<W, R> {
+    #[inline]
+    fn set_recency(&mut self, set: usize, recency: u64) {
+        self.recency[set] = recency ^ FRESH_RECENCY;
     }
 
     /// Finds `addr` in recency order, MRU first, and moves its way to
@@ -231,12 +323,12 @@ impl SetAssocCache {
         let set = self.set_of(addr);
         let base = set * self.assoc;
         let key = probe_key(addr);
-        let recency = self.recency[set];
+        let recency = self.recency(set);
         let (pos, i) = (0..self.assoc)
             .map(|pos| (pos, base + way_at(recency, pos)))
-            .find(|&(_, i)| self.ways[i].tag & MATCH == key)?;
+            .find(|&(_, i)| self.ways[i][0] & MATCH == key)?;
         if pos != 0 {
-            self.recency[set] = promote(recency, pos);
+            self.set_recency(set, promote(recency, pos));
         }
         Some(i)
     }
@@ -245,7 +337,7 @@ impl SetAssocCache {
     #[inline]
     pub fn lookup(&mut self, addr: LineAddr) -> Option<CacheLine> {
         let i = self.hit(addr)?;
-        Some(self.ways[i].unpack())
+        Some(unpack(self.ways[i]))
     }
 
     /// Applies `f` to the resident copy of `addr`, refreshing LRU as
@@ -254,48 +346,40 @@ impl SetAssocCache {
     /// change the line's address.
     pub fn update(&mut self, addr: LineAddr, f: impl FnOnce(&mut CacheLine)) -> Option<CacheLine> {
         let i = self.hit(addr)?;
-        let old = self.ways[i].unpack();
+        let old = unpack(self.ways[i]);
         let mut line = old;
         f(&mut line);
         debug_assert_eq!(line.addr, addr, "update must not move a line");
-        self.ways[i] = Way::pack(line);
+        self.ways[i] = pack(line);
         Some(old)
-    }
-
-    /// Looks up `addr` without touching LRU state (for probes that
-    /// must not perturb replacement, e.g. mute best-effort reads of
-    /// other caches and directory consistency checks).
-    #[inline]
-    pub fn peek(&self, addr: LineAddr) -> Option<CacheLine> {
-        self.find(addr).map(|i| self.ways[i].unpack())
     }
 
     /// Inserts a line, evicting the LRU victim of its set if full.
     /// Returns the victim. If the address is already resident, the
     /// existing line is overwritten in place and `None` is returned.
     pub fn insert(&mut self, line: CacheLine) -> Option<CacheLine> {
-        let new = Way::pack(line);
+        let new = pack(line);
         let set = self.set_of(line.addr);
         let base = set * self.assoc;
+        let recency = self.recency(set);
         let ways = &mut self.ways[base..base + self.assoc];
-        let recency = self.recency[set];
         // Overwrite a resident copy, else fill the first empty way,
         // else evict the LRU way.
-        let key = new.tag & MATCH;
+        let key = new[0] & MATCH;
         let (pos, victim) = match ways
             .iter()
-            .position(|w| w.tag & MATCH == key)
-            .or_else(|| ways.iter().position(|w| !w.is_valid()))
+            .position(|&[tag, _]| tag & MATCH == key)
+            .or_else(|| ways.iter().position(|&w| !is_valid(w)))
         {
             Some(way) => (position(recency, way), None),
             None => {
                 let lru = self.assoc - 1;
-                (lru, Some(ways[way_at(recency, lru)].unpack()))
+                (lru, Some(unpack(ways[way_at(recency, lru)])))
             }
         };
         ways[way_at(recency, pos)] = new;
         if pos != 0 {
-            self.recency[set] = promote(recency, pos);
+            self.set_recency(set, promote(recency, pos));
         }
         victim
     }
@@ -303,7 +387,7 @@ impl SetAssocCache {
     /// Removes `addr` if present, returning the line.
     pub fn invalidate(&mut self, addr: LineAddr) -> Option<CacheLine> {
         let i = self.find(addr)?;
-        Some(std::mem::replace(&mut self.ways[i], Way::EMPTY).unpack())
+        Some(unpack(std::mem::replace(&mut self.ways[i], EMPTY)))
     }
 
     /// Removes every line matching `pred`, appending the removed lines
@@ -313,12 +397,12 @@ impl SetAssocCache {
         mut pred: impl FnMut(&CacheLine) -> bool,
         out: &mut Vec<CacheLine>,
     ) {
-        for way in &mut self.ways {
-            if way.is_valid() {
-                let line = way.unpack();
+        for way in self.ways.iter_mut() {
+            if is_valid(*way) {
+                let line = unpack(*way);
                 if pred(&line) {
                     out.push(line);
-                    *way = Way::EMPTY;
+                    *way = EMPTY;
                 }
             }
         }
@@ -329,23 +413,18 @@ impl SetAssocCache {
     /// line contents).
     pub fn discard_matching(&mut self, mut pred: impl FnMut(&CacheLine) -> bool) -> usize {
         let mut removed = 0;
-        for way in &mut self.ways {
-            if way.is_valid() && pred(&way.unpack()) {
+        for way in self.ways.iter_mut() {
+            if is_valid(*way) && pred(&unpack(*way)) {
                 removed += 1;
-                *way = Way::EMPTY;
+                *way = EMPTY;
             }
         }
         removed
     }
 
-    /// Number of resident lines.
-    pub fn occupancy(&self) -> usize {
-        self.ways.iter().filter(|w| w.is_valid()).count()
-    }
-
     /// Empties the cache completely.
     pub fn clear(&mut self) {
-        self.ways.fill(Way::EMPTY);
+        self.ways.fill(EMPTY);
     }
 }
 
@@ -385,13 +464,13 @@ mod tests {
                         version: u64::MAX - addr,
                         coherent,
                     };
-                    let w = Way::pack(l);
-                    assert!(w.is_valid());
-                    assert_eq!(w.unpack(), l);
+                    let w = pack(l);
+                    assert!(is_valid(w));
+                    assert_eq!(unpack(w), l);
                 }
             }
         }
-        assert!(!Way::EMPTY.is_valid());
+        assert!(!is_valid(EMPTY));
     }
 
     #[test]

@@ -25,7 +25,7 @@ use mmm_trace::{ProfPhase, Profiler};
 use mmm_types::config::SystemConfig;
 use mmm_types::{CoreId, Cycle, LineAddr};
 
-use crate::cache::{CacheLine, Mosi, SetAssocCache};
+use crate::cache::{CacheBank, CacheLine, Mosi, SetAssocCache};
 use crate::directory::Directory;
 use crate::dram::Dram;
 use crate::linemap::LineMap;
@@ -50,9 +50,10 @@ pub struct FlushOutcome {
 /// The machine's memory hierarchy.
 pub struct MemorySystem {
     cfg: SystemConfig,
-    l1i: Vec<SetAssocCache>,
-    l1d: Vec<SetAssocCache>,
-    l2: Vec<SetAssocCache>,
+    // Per-core caches, indexed by core.
+    l1i: CacheBank,
+    l1d: CacheBank,
+    l2: CacheBank,
     l3: SetAssocCache,
     dir: Directory,
     versions: LineMap<VersionToken>,
@@ -85,9 +86,9 @@ impl MemorySystem {
         let n = cfg.cores as usize;
         Self {
             cfg: cfg.clone(),
-            l1i: (0..n).map(|_| SetAssocCache::new(cfg.mem.l1i)).collect(),
-            l1d: (0..n).map(|_| SetAssocCache::new(cfg.mem.l1d)).collect(),
-            l2: (0..n).map(|_| SetAssocCache::new(cfg.mem.l2)).collect(),
+            l1i: CacheBank::new(cfg.mem.l1i, n),
+            l1d: CacheBank::new(cfg.mem.l1d, n),
+            l2: CacheBank::new(cfg.mem.l2, n),
             l3: SetAssocCache::new(cfg.mem.l3),
             dir: Directory::new(),
             versions: LineMap::default(),
@@ -180,13 +181,15 @@ impl MemorySystem {
         if coherent && self.maybe_incoherent[core.index()] {
             // Discard incoherent leftovers (see `load`).
             let stale = |l: Option<CacheLine>| l.is_some_and(|x| !x.coherent);
-            if stale(self.l1i[core.index()].peek(line)) || stale(self.l2[core.index()].peek(line)) {
-                self.l1i[core.index()].invalidate(line);
-                self.l2[core.index()].invalidate(line);
-                self.l1d[core.index()].invalidate(line);
+            if stale(self.l1i.get(core.index()).peek(line))
+                || stale(self.l2.get(core.index()).peek(line))
+            {
+                self.l1i.get_mut(core.index()).invalidate(line);
+                self.l2.get_mut(core.index()).invalidate(line);
+                self.l1d.get_mut(core.index()).invalidate(line);
             }
         }
-        if self.l1i[core.index()].lookup(line).is_some() {
+        if self.l1i.get_mut(core.index()).lookup(line).is_some() {
             self.stats.l1i_hits += 1;
             return Access {
                 complete_at: now + self.cfg.mem.l1_latency as Cycle,
@@ -197,9 +200,9 @@ impl MemorySystem {
         self.stats.l1i_misses += 1;
         // The unified L2 may already hold the line (e.g. data written
         // there, or a prior I-fetch whose L1-I copy was evicted).
-        let acc = if let Some(copy) = self.l2[core.index()].lookup(line) {
+        let acc = if let Some(copy) = self.l2.get_mut(core.index()).lookup(line) {
             self.stats.l2_hits += 1;
-            self.l1i[core.index()].insert(copy);
+            self.l1i.get_mut(core.index()).insert(copy);
             return Access {
                 complete_at: now + self.cfg.mem.l2_latency as Cycle,
                 version: copy.version,
@@ -209,10 +212,12 @@ impl MemorySystem {
             self.read_into_l2(core, line, coherent, now)
         };
         // Fill the L1-I (code is read-only; version is immaterial).
-        let l2_copy = self.l2[core.index()]
+        let l2_copy = self
+            .l2
+            .get(core.index())
             .peek(line)
             .expect("read_into_l2 leaves the line in L2");
-        self.l1i[core.index()].insert(l2_copy);
+        self.l1i.get_mut(core.index()).insert(l2_copy);
         self.prefetch_next_line(core, line, coherent, now);
         acc
     }
@@ -222,16 +227,18 @@ impl MemorySystem {
     /// but adds no latency to the demand fetch.
     fn prefetch_next_line(&mut self, core: CoreId, line: LineAddr, coherent: bool, now: Cycle) {
         let next = LineAddr(line.0 + 1);
-        if self.l1i[core.index()].peek(next).is_some() {
+        if self.l1i.get(core.index()).peek(next).is_some() {
             return;
         }
-        if self.l2[core.index()].peek(next).is_none() {
+        if self.l2.get(core.index()).peek(next).is_none() {
             self.read_into_l2(core, next, coherent, now);
         }
-        let copy = self.l2[core.index()]
+        let copy = self
+            .l2
+            .get(core.index())
             .peek(next)
             .expect("prefetch fill resides in L2");
-        self.l1i[core.index()].insert(copy);
+        self.l1i.get_mut(core.index()).insert(copy);
     }
 
     // ----- loads ------------------------------------------------------------
@@ -246,16 +253,18 @@ impl MemorySystem {
         // (a copy cached while this core was a mute): discard it and
         // refetch through the protocol.
         if coherent && self.maybe_incoherent[core.index()] {
-            let stale_local = self.l2[core.index()]
+            let stale_local = self
+                .l2
+                .get(core.index())
                 .peek(line)
                 .is_some_and(|l| !l.coherent);
             if stale_local {
-                self.l2[core.index()].invalidate(line);
-                self.l1d[core.index()].invalidate(line);
-                self.l1i[core.index()].invalidate(line);
+                self.l2.get_mut(core.index()).invalidate(line);
+                self.l1d.get_mut(core.index()).invalidate(line);
+                self.l1i.get_mut(core.index()).invalidate(line);
             }
         }
-        if let Some(l1line) = self.l1d[core.index()].lookup(line) {
+        if let Some(l1line) = self.l1d.get_mut(core.index()).lookup(line) {
             let version = l1line.version;
             let copy_coherent = l1line.coherent;
             if !coherent || copy_coherent {
@@ -272,15 +281,15 @@ impl MemorySystem {
                 };
             }
             // Coherent request, incoherent L1-only leftover: drop it.
-            self.l1d[core.index()].invalidate(line);
+            self.l1d.get_mut(core.index()).invalidate(line);
         }
         self.stats.l1d_misses += 1;
-        if let Some(copy) = self.l2[core.index()].lookup(line) {
+        if let Some(copy) = self.l2.get_mut(core.index()).lookup(line) {
             self.stats.l2_hits += 1;
             if !copy.coherent && copy.version != self.current_version(line) {
                 self.stats.stale_mute_hits += 1;
             }
-            self.l1d[core.index()].insert(copy);
+            self.l1d.get_mut(core.index()).insert(copy);
             return Access {
                 complete_at: now + self.cfg.mem.l2_latency as Cycle,
                 version: copy.version,
@@ -288,10 +297,12 @@ impl MemorySystem {
             };
         }
         let acc = self.read_into_l2(core, line, coherent, now);
-        let l2_copy = self.l2[core.index()]
+        let l2_copy = self
+            .l2
+            .get(core.index())
             .peek(line)
             .expect("read_into_l2 leaves the line in L2");
-        self.l1d[core.index()].insert(l2_copy);
+        self.l1d.get_mut(core.index()).insert(l2_copy);
         acc
     }
 
@@ -310,7 +321,7 @@ impl MemorySystem {
             self.stats.c2c_transfers += 1;
             if coherent {
                 // Owner transitions M -> O (stays the data source).
-                self.l2[owner.index()].update(line, |ol| {
+                self.l2.get_mut(owner.index()).update(line, |ol| {
                     if ol.state == Mosi::Modified {
                         ol.state = Mosi::Owned;
                     }
@@ -413,7 +424,7 @@ impl MemorySystem {
             return self.mute_local_fill(core, line, now);
         }
         // Fast path: already Modified and coherent in our L2.
-        if let Some(l2line) = self.l2[core.index()].lookup(line) {
+        if let Some(l2line) = self.l2.get_mut(core.index()).lookup(line) {
             if l2line.coherent {
                 if l2line.state == Mosi::Modified {
                     self.stats.l2_hits += 1;
@@ -433,7 +444,8 @@ impl MemorySystem {
                     kicked &= kicked - 1;
                     self.drop_core_line(victim, line);
                 }
-                self.l2[core.index()]
+                self.l2
+                    .get_mut(core.index())
                     .update(line, |l| l.state = Mosi::Modified)
                     .expect("upgrade target resident");
                 self.dir.clear_owner(line);
@@ -446,9 +458,9 @@ impl MemorySystem {
             }
             // An incoherent copy cannot satisfy a coherent store:
             // discard it and fall through to the miss path.
-            self.l2[core.index()].invalidate(line);
-            self.l1d[core.index()].invalidate(line);
-            self.l1i[core.index()].invalidate(line);
+            self.l2.get_mut(core.index()).invalidate(line);
+            self.l1d.get_mut(core.index()).invalidate(line);
+            self.l1i.get_mut(core.index()).invalidate(line);
         }
         self.rfo_miss(core, line, now)
     }
@@ -530,14 +542,16 @@ impl MemorySystem {
                 l.version = token;
                 l.state = Mosi::Modified;
             };
-            if self.l2[idx]
+            if self
+                .l2
+                .get_mut(idx)
                 .update(line, diverge)
                 .is_some_and(|l| l.coherent)
             {
                 // Leaving the coherent world: stop being tracked.
                 self.dir.remove_sharer(line, core);
             }
-            self.l1d[idx].update(line, diverge);
+            self.l1d.get_mut(idx).update(line, diverge);
             return Access {
                 complete_at: fill.complete_at.max(now + 1),
                 version: token,
@@ -546,7 +560,9 @@ impl MemorySystem {
         }
 
         // Coherent path: ensure we still hold M.
-        let holds_m = self.l2[core.index()]
+        let holds_m = self
+            .l2
+            .get(core.index())
             .peek(line)
             .is_some_and(|l| l.coherent && l.state == Mosi::Modified);
         let (mut complete_at, source) = if holds_m {
@@ -559,10 +575,14 @@ impl MemorySystem {
             complete_at = now + 1;
         }
         self.versions.insert(line, token);
-        self.l2[core.index()].update(line, |l| l.version = token);
+        self.l2
+            .get_mut(core.index())
+            .update(line, |l| l.version = token);
         // Write-through, no-write-allocate L1: update an existing copy
         // only.
-        self.l1d[core.index()].update(line, |l| l.version = token);
+        self.l1d
+            .get_mut(core.index())
+            .update(line, |l| l.version = token);
         Access {
             complete_at,
             version: token,
@@ -573,7 +593,7 @@ impl MemorySystem {
     /// Ensures the mute core holds a private copy of `line`,
     /// best-effort, without any global state change.
     fn mute_local_fill(&mut self, core: CoreId, line: LineAddr, now: Cycle) -> Access {
-        if let Some(l) = self.l2[core.index()].peek(line) {
+        if let Some(l) = self.l2.get(core.index()).peek(line) {
             let v = l.version;
             return Access {
                 complete_at: now + self.cfg.mem.l2_latency as Cycle,
@@ -622,14 +642,14 @@ impl MemorySystem {
     /// mute's input-incoherent lines.
     pub fn heal_line(&mut self, core: CoreId, line: LineAddr) {
         let idx = core.index();
-        if let Some(l) = self.l2[idx].peek(line) {
+        if let Some(l) = self.l2.get(idx).peek(line) {
             if l.coherent {
                 self.dir.remove_sharer(line, core);
             }
         }
-        self.l2[idx].invalidate(line);
-        self.l1d[idx].invalidate(line);
-        self.l1i[idx].invalidate(line);
+        self.l2.get_mut(idx).invalidate(line);
+        self.l1d.get_mut(idx).invalidate(line);
+        self.l1i.get_mut(idx).invalidate(line);
     }
 
     /// Walks the mute's L2 when leaving DMR mode in MMM-TP: inspects
@@ -637,28 +657,32 @@ impl MemorySystem {
     /// back coherent dirty lines (the staged VCPU state).
     pub fn flush_mute(&mut self, core: CoreId, now: Cycle) -> FlushOutcome {
         let idx = core.index();
-        let inspected = self.l2[idx].slot_count();
+        let inspected = self.l2.get(idx).slot_count();
         let mut scratch = std::mem::take(&mut self.scratch);
-        self.l2[idx].drain_matching_into(|l| !l.coherent, &mut scratch);
+        self.l2
+            .get_mut(idx)
+            .drain_matching_into(|l| !l.coherent, &mut scratch);
         let invalidated = scratch.len();
         for l in &scratch {
-            self.l1d[idx].invalidate(l.addr);
-            self.l1i[idx].invalidate(l.addr);
+            self.l1d.get_mut(idx).invalidate(l.addr);
+            self.l1i.get_mut(idx).invalidate(l.addr);
         }
         // Coherent dirty lines move to the L3 (normal eviction path).
-        self.l2[idx].drain_matching_into(|l| l.state.is_dirty(), &mut scratch);
+        self.l2
+            .get_mut(idx)
+            .drain_matching_into(|l| l.state.is_dirty(), &mut scratch);
         let written_back = scratch.len() - invalidated;
         for l in scratch.drain(invalidated..) {
-            self.l1d[idx].invalidate(l.addr);
-            self.l1i[idx].invalidate(l.addr);
+            self.l1d.get_mut(idx).invalidate(l.addr);
+            self.l1i.get_mut(idx).invalidate(l.addr);
             self.dir.remove_sharer(l.addr, core);
             self.install_l3(l, now);
         }
         scratch.clear();
         self.scratch = scratch;
         // Drop L1 incoherent leftovers wholesale (cheap CAM clear).
-        self.l1d[idx].discard_matching(|l| !l.coherent);
-        self.l1i[idx].discard_matching(|l| !l.coherent);
+        self.l1d.get_mut(idx).discard_matching(|l| !l.coherent);
+        self.l1i.get_mut(idx).discard_matching(|l| !l.coherent);
         self.maybe_incoherent[idx] = false;
         let cycles = (inspected as u64).div_ceil(self.cfg.virt.flush_lines_per_cycle as u64)
             + written_back as u64;
@@ -678,22 +702,27 @@ impl MemorySystem {
     /// state the vocal already made globally visible), so this is a
     /// single-cycle flash clear of the per-line coherent/valid bits —
     /// used when a core is (re-)coupled as a mute after an idle gap,
-    /// so weeks-stale data does not trigger a recovery storm.
+    /// so weeks-stale data does not trigger a recovery storm. A core
+    /// that holds no incoherent line (`maybe_incoherent` is false)
+    /// is not walked.
     pub fn flash_invalidate_incoherent(&mut self, core: CoreId) -> usize {
         let idx = core.index();
+        if !self.maybe_incoherent[idx] {
+            return 0;
+        }
         self.maybe_incoherent[idx] = false;
-        self.l2[idx].discard_matching(|l| !l.coherent)
-            + self.l1d[idx].discard_matching(|l| !l.coherent)
-            + self.l1i[idx].discard_matching(|l| !l.coherent)
+        self.l2.get_mut(idx).discard_matching(|l| !l.coherent)
+            + self.l1d.get_mut(idx).discard_matching(|l| !l.coherent)
+            + self.l1i.get_mut(idx).discard_matching(|l| !l.coherent)
     }
 
     /// Drops a line from a remote core's private hierarchy
     /// (invalidation delivery).
     fn drop_core_line(&mut self, core: CoreId, line: LineAddr) {
         let idx = core.index();
-        self.l2[idx].invalidate(line);
-        self.l1d[idx].invalidate(line);
-        self.l1i[idx].invalidate(line);
+        self.l2.get_mut(idx).invalidate(line);
+        self.l1d.get_mut(idx).invalidate(line);
+        self.l1i.get_mut(idx).invalidate(line);
     }
 
     /// Installs a line into a core's L2, handling the victim: coherent
@@ -706,9 +735,9 @@ impl MemorySystem {
         if !line.coherent {
             self.maybe_incoherent[idx] = true;
         }
-        if let Some(victim) = self.l2[idx].insert(line) {
-            self.l1d[idx].invalidate(victim.addr);
-            self.l1i[idx].invalidate(victim.addr);
+        if let Some(victim) = self.l2.get_mut(idx).insert(line) {
+            self.l1d.get_mut(idx).invalidate(victim.addr);
+            self.l1i.get_mut(idx).invalidate(victim.addr);
             if victim.coherent {
                 self.dir.remove_sharer(victim.addr, core);
                 // Dirty victims must reach the L3; clean victims are
@@ -739,7 +768,7 @@ impl MemorySystem {
 
     /// Peeks a core's L2 copy of a line (diagnostics).
     pub fn peek_l2(&self, core: CoreId, line: LineAddr) -> Option<CacheLine> {
-        self.l2[core.index()].peek(line)
+        self.l2.get(core.index()).peek(line)
     }
 
     /// Peeks the L3 copy of a line (diagnostics).
@@ -749,7 +778,7 @@ impl MemorySystem {
 
     /// Occupancy of a core's L2 (diagnostics).
     pub fn l2_occupancy(&self, core: CoreId) -> usize {
-        self.l2[core.index()].occupancy()
+        self.l2.get(core.index()).occupancy()
     }
 
     /// Occupancy of the shared L3 (diagnostics).
@@ -1021,6 +1050,63 @@ mod tests {
         // The state line survives in the L3, still current.
         assert_eq!(m.peek_l3(LineAddr(0xA000)).map(|l| l.version), Some(t));
         assert_eq!(m.current_version(LineAddr(0xA000)), t);
+    }
+
+    #[test]
+    fn only_flagged_cores_hold_incoherent_lines() {
+        // `flash_invalidate_incoherent` skips a core whose flag is
+        // clear, so no request sequence may leave an incoherent copy
+        // in such a core's L1s or L2.
+        let mut m = sys();
+        let mut rng = mmm_types::DetRng::new(0xF1A5, 0);
+        // Lines 0x800 apart share one L1 set and one L2 set, so both
+        // evict constantly; each line's next-line prefetch is the only
+        // other address touched.
+        let lines: Vec<LineAddr> = (0..24).map(|i| LineAddr(0x8_0000 + i * 0x800)).collect();
+        let mut flashed = 0;
+        for step in 0..20_000u64 {
+            let core = CoreId(rng.below(4) as u16);
+            let line = lines[rng.below(lines.len() as u64) as usize];
+            let coherent = rng.chance(0.5);
+            match rng.below(16) {
+                0..=5 => {
+                    m.load(core, line, coherent, step);
+                }
+                6..=8 => {
+                    m.store_acquire(core, line, coherent, step);
+                }
+                9..=11 => {
+                    let t = store_token(VcpuId(core.0), line, step);
+                    m.store_commit(core, line, t, coherent, step);
+                }
+                12 | 13 => {
+                    m.ifetch(core, line, coherent, step);
+                }
+                14 => m.heal_line(core, line),
+                _ if rng.chance(0.5) => {
+                    m.flush_mute(core, step);
+                }
+                _ => flashed += m.flash_invalidate_incoherent(core),
+            }
+            for c in (0..4)
+                .map(CoreId)
+                .filter(|c| !m.maybe_incoherent[c.index()])
+            {
+                for l in lines.iter().flat_map(|l| [*l, LineAddr(l.0 + 1)]) {
+                    let i = c.index();
+                    let copies = [
+                        m.l1i.get(i).peek(l),
+                        m.l1d.get(i).peek(l),
+                        m.l2.get(i).peek(l),
+                    ];
+                    assert!(
+                        copies.iter().flatten().all(|copy| copy.coherent),
+                        "step {step}: unflagged core {c:?} holds an incoherent copy of {l:?}"
+                    );
+                }
+            }
+        }
+        assert!(flashed > 0, "some flash invalidations found lines");
     }
 
     #[test]
