@@ -49,6 +49,10 @@ pub const DEFAULT_MEASURE: u64 = 100_000;
 /// Most cells a grid may hold: cell ids are written `cell-{id:05}`.
 pub const MAX_CELLS: usize = 100_000;
 
+/// Most runs (cells × seeds) a campaign may hold: every cell lists its
+/// seeds, so the count sizes an allocation.
+pub const MAX_RUNS: u64 = 1_000_000;
+
 /// The scheduler-mode axis: which machine configuration a cell runs.
 /// A manifest spells these `nodmr2x`, `nodmr`, `reunion`, `dmr_base`,
 /// `mmm_ipc`, `mmm_tp`, `single_os`, or `overcommit:<R>r<P>p`.
@@ -449,7 +453,8 @@ impl Manifest {
     }
 
     /// Expands the grid, row-major over [`AXES`], into runnable cells.
-    /// A grid of more than [`MAX_CELLS`] cells is an error.
+    /// A grid of more than [`MAX_CELLS`] cells, or more than
+    /// [`MAX_RUNS`] runs over all its seeds, is an error.
     pub fn cells(&self) -> Result<Vec<CellSpec>, String> {
         let count = self.cell_count();
         if count > MAX_CELLS {
@@ -459,6 +464,15 @@ impl Manifest {
             };
             return Err(format!(
                 "the grid has {count} cells; a campaign holds at most {MAX_CELLS}"
+            ));
+        }
+        let runs = (count as u64).checked_mul(self.seeds);
+        if runs.is_none_or(|runs| runs > MAX_RUNS) {
+            let runs = runs.map_or_else(|| format!("more than {}", u64::MAX), |n| n.to_string());
+            return Err(format!(
+                "the campaign has {runs} runs ({count} cells × {} seeds); \
+                 a campaign holds at most {MAX_RUNS}",
+                self.seeds
             ));
         }
         let mut out = Vec::with_capacity(count);
@@ -707,6 +721,31 @@ mod tests {
             ..m
         };
         assert!(past.cells().unwrap_err().contains("100100 cells"));
+    }
+
+    #[test]
+    fn campaigns_past_the_run_limit_are_refused() {
+        // A trillion seeds on one cell once asked the allocator for
+        // 8 TB of seed lists.
+        let seeded = |seeds: u64, grid: &str| {
+            format!("{{\"name\":\"many\",\"seeds\":{seeds},\"grid\":{grid}}}")
+        };
+        let one_cell = r#"{"cores":4}"#;
+        let err = Manifest::parse(&seeded(1_000_000_000_000, one_cell)).unwrap_err();
+        assert!(err.contains("1000000000000 runs"), "{err}");
+        assert!(err.contains("at most 1000000"), "{err}");
+        let err = Manifest::parse(&seeded(u64::MAX, r#"{"cores":[4,8]}"#)).unwrap_err();
+        assert!(err.contains("more than 18446744073709551615 runs"), "{err}");
+        let m = Manifest::parse(&seeded(MAX_RUNS, one_cell)).unwrap();
+        assert_eq!(
+            m.cells().unwrap()[0].cell.experiment.seeds.len() as u64,
+            MAX_RUNS
+        );
+        let err = Manifest::parse(&seeded(MAX_RUNS / 2 + 1, r#"{"cores":[4,8]}"#)).unwrap_err();
+        assert!(
+            err.contains("1000002 runs (2 cells × 500001 seeds)"),
+            "{err}"
+        );
     }
 
     /// Truncates `text`, flips a bit of one byte, duplicates or drops

@@ -1,6 +1,7 @@
-//! A manifest whose grid is past the cell limit is refused with exit
-//! code 2 and a message naming its cell count, by `mmm-campaign` and
-//! by `mmm-inspect campaign`, instead of aborting on the allocation.
+//! A manifest whose grid is past the cell limit, or whose cells and
+//! seeds are past the run limit, is refused with exit code 2 and a
+//! message naming its count, by `mmm-campaign` and by `mmm-inspect
+//! campaign`, instead of aborting on the allocation.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -41,20 +42,30 @@ fn run(bin: &str, args: &[&Path]) -> (Option<i32>, String) {
     )
 }
 
-/// Four 400-value axes (25.6 G cells) and six 3000-value axes (a count
-/// past `usize::MAX`).
-const GRIDS: [(usize, usize, &str); 2] = [
-    (4, 400, "25600000000 cells"),
-    (6, 3000, "more than 18446744073709551615 cells"),
-];
+/// A one-cell manifest with a trillion seeds.
+const MANY_SEEDS: &str = r#"{"name":"many","seeds":1000000000000,"grid":{"cores":4}}"#;
+
+/// Four 400-value axes (25.6 G cells), six 3000-value axes (a count
+/// past `usize::MAX`), and one cell with a trillion seeds: each
+/// oversized manifest and the count its refusal names.
+fn oversized() -> [(String, &'static str); 3] {
+    [
+        (wide_manifest(4, 400), "25600000000 cells"),
+        (
+            wide_manifest(6, 3000),
+            "more than 18446744073709551615 cells",
+        ),
+        (MANY_SEEDS.to_string(), "1000000000000 runs"),
+    ]
+}
 
 #[test]
 fn mmm_campaign_refuses_oversized_grids() {
     let dir = temp_dir("campaign");
-    for (axes, values, count) in GRIDS {
-        let path = dir.join(format!("wide-{axes}.json"));
-        fs::write(&path, wide_manifest(axes, values)).unwrap();
-        let out = dir.join(format!("out-{axes}"));
+    for (i, (manifest, count)) in oversized().into_iter().enumerate() {
+        let path = dir.join(format!("oversized-{i}.json"));
+        fs::write(&path, manifest).unwrap();
+        let out = dir.join(format!("out-{i}"));
         let (code, err) = run(
             env!("CARGO_BIN_EXE_mmm-campaign"),
             &[&path, "--out".as_ref(), &out],
@@ -83,8 +94,8 @@ fn mmm_inspect_refuses_a_campaign_with_an_oversized_manifest() {
     let inspect = env!("CARGO_BIN_EXE_mmm-inspect");
     let (code, err) = run(inspect, &["campaign".as_ref(), &aggregate, &aggregate]);
     assert_eq!(code, Some(0), "the campaign as written passes: {err}");
-    for (axes, values, count) in GRIDS {
-        fs::write(dir.join("manifest.json"), wide_manifest(axes, values)).unwrap();
+    for (manifest, count) in oversized() {
+        fs::write(dir.join("manifest.json"), manifest).unwrap();
         let (code, err) = run(inspect, &["campaign".as_ref(), &aggregate, &aggregate]);
         assert_eq!(code, Some(2), "{err}");
         assert!(err.contains(count), "{err}");

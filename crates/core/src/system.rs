@@ -21,7 +21,7 @@ use mmm_trace::{
 };
 use mmm_types::ids::{PAGE_BYTES, PAGE_SHIFT};
 use mmm_types::{CoreId, Cycle, PageAddr, Result, SystemConfig, VcpuId, VmId};
-use mmm_workload::layout::{PAT_BASE, SCRATCHPAD_BASE};
+use mmm_workload::layout::{PAT_END, SCRATCHPAD_BASE};
 use mmm_workload::{AddressLayout, Generator, OpStream};
 
 use crate::fault::{CampaignTelemetry, FaultInjector, FaultSite, FaultStats};
@@ -406,6 +406,8 @@ pub struct System {
     overcommit_order: Vec<VcpuId>,
     /// Pair-channel counters accumulated from decoupled pairs.
     retired_pair_stats: PairStats,
+    /// Largest record ring a decoupled pair's channel held.
+    retired_ring_records: usize,
     /// Sequence numbers for the version tokens of wild stores that
     /// reach memory (fault-injected writes no VCPU issued).
     fault_token_seq: u64,
@@ -472,7 +474,7 @@ impl System {
         // are writable only in reliable mode.
         let mut pat = Pat::new();
         let machine_first = SCRATCHPAD_BASE >> PAGE_SHIFT;
-        let machine_last = (PAT_BASE + (64 << 20)) >> PAGE_SHIFT;
+        let machine_last = PAT_END >> PAGE_SHIFT;
         pat.set_range_reliable(machine_first..machine_last, true);
         let mut reliable_vms: Vec<VmId> = vcpus
             .iter()
@@ -519,6 +521,7 @@ impl System {
             slice_parity: 0,
             overcommit_order: Vec::new(),
             retired_pair_stats: PairStats::default(),
+            retired_ring_records: 0,
             fault_token_seq: 1 << 61,
             tracer: Tracer::off(),
             sampler: Sampler::off(),
@@ -800,6 +803,7 @@ impl System {
     fn evict_dmr(&mut self, slot: usize, now: Cycle) -> VcpuId {
         let pair = self.pairs[slot].take().expect("slot holds a pair");
         self.retired_pair_stats.merge_from(&pair.stats());
+        self.retired_ring_records = self.retired_ring_records.max(pair.ring_records());
         // An armed fault detects during decouple's final comparison;
         // its latency cannot be attributed to a service round, so the
         // pending record is dropped (latency count <= detected).
@@ -1431,7 +1435,7 @@ impl System {
                 // A wild store: the faulty translation produced an
                 // arbitrary physical address. The PAB is the last line
                 // of defense.
-                let max_page = (PAT_BASE + (64 << 20)) / PAGE_BYTES;
+                let max_page = PAT_END / PAGE_BYTES;
                 let inj = self.injector.as_mut().expect("fault path has injector");
                 let page = PageAddr(inj.draw_wild_page(max_page));
                 let line = page.first_line();
@@ -1749,6 +1753,17 @@ impl System {
         report.profile = self.profiler.report();
         report.forensics = self.forensics.take_report();
         report
+    }
+
+    /// The largest record ring any pair channel of this run has held,
+    /// in records (0 before the first pair couples): the size the
+    /// core window sets, unless a ring grew.
+    pub fn pair_ring_records(&self) -> usize {
+        self.pairs
+            .iter()
+            .flatten()
+            .map(DmrPair::ring_records)
+            .fold(self.retired_ring_records, usize::max)
     }
 
     /// Builds the report over the last `cycles` measured cycles.

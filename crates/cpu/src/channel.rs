@@ -16,7 +16,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use mmm_mem::VersionToken;
-use mmm_types::config::ReunionConfig;
+use mmm_types::config::{CoreConfig, ReunionConfig};
 use mmm_types::stats::Log2Histogram;
 use mmm_types::{Cycle, LineAddr};
 
@@ -74,12 +74,18 @@ struct OpRecord {
 /// [`PairChannel::prune_below`]).
 const PRUNE_WINDOW: u64 = 1024;
 
-/// Initial record-ring capacity: the smallest power of two above the
-/// prune window, which also holds the dispatch lead of one instruction
-/// window past it. The live span peaked at 1154 records (1024 + 130)
-/// in every paired workload of the benchmark and in Fig 5, so the
-/// steady state never grows.
-const REC_RING_CAP: usize = (PRUNE_WINDOW as usize + 1).next_power_of_two();
+/// Initial record-ring capacity for cores of `window_entries`-entry
+/// instruction windows. A read reaches back only to the lower of the
+/// two gates' polled seqs, a core's commit head. The leading core
+/// commits only what both cores published, so its head is at most one
+/// past the lagging core's publish frontier, itself at most a window
+/// past the lagging core's head, and the leading core's own frontier is
+/// at most a window past its head: the ring holds `2·window + 1`
+/// records (257 of them for 128-entry windows, as measured on the
+/// paired machines of all six benchmarks).
+fn ring_records(window_entries: u32) -> usize {
+    (2 * window_entries as usize + 1).next_power_of_two()
+}
 
 /// The exchange channel shared by the two gates of a DMR pair
 /// (`mmm-reunion`'s `DmrPair`).
@@ -88,17 +94,22 @@ pub struct PairChannel {
     cfg: ReunionConfig,
     base_seq: u64,
     /// Record ring: seq `q`'s slot is `records[q & rec_mask]`, holding
-    /// the live span `[base_seq, base_seq + live)`. Slots are never
-    /// cleared — every field of a record is written by the publishes
-    /// that precede any read of it, so stale contents are unreachable.
-    /// The ring starts empty with room for `rec_mask + 1` slots, and a
-    /// publish to a slot past its length first extends it, so set-up
-    /// writes none of it.
+    /// the readable span from [`Self::read_floor`] to the publish
+    /// frontier. Slots are never cleared — every field of a record is
+    /// written by the publishes that precede any read of it, so stale
+    /// contents are unreachable. The ring starts empty with room for
+    /// `rec_mask + 1` slots, and a publish to a slot past its length
+    /// first extends it, so set-up writes none of it.
     records: Vec<OpRecord>,
     rec_mask: u64,
-    /// Number of live records (what `records.len()` was when this was
-    /// a `VecDeque`); feeds the occupancy histogram.
+    /// Number of live records, `[base_seq, base_seq + live)` (what
+    /// `records.len()` was when this was a `VecDeque`); feeds the
+    /// occupancy histogram. Records below the read floor stay live but
+    /// are never read.
     live: u64,
+    /// Per side: the seq its gate last polled, its commit head, which
+    /// never moves back (`base_seq` until its first poll).
+    polled: [u64; 2],
     /// Highest contiguous published seq per side (`None` until first).
     published: [Option<u64>; 2],
     /// Running prefix max of exec completion per side.
@@ -121,15 +132,25 @@ pub struct PairChannel {
 }
 
 impl PairChannel {
-    /// Creates a channel. `base_seq` is the stream position at which
-    /// the pair was coupled.
+    /// Creates a channel between cores of the default instruction
+    /// window. `base_seq` is the stream position at which the pair was
+    /// coupled.
     pub fn new(cfg: ReunionConfig, base_seq: u64) -> Self {
+        Self::for_window(cfg, base_seq, CoreConfig::default().window_entries)
+    }
+
+    /// Creates a channel between cores of `window_entries`-entry
+    /// instruction windows, whose record ring then never grows.
+    /// `base_seq` is the stream position at which the pair was coupled.
+    pub fn for_window(cfg: ReunionConfig, base_seq: u64, window_entries: u32) -> Self {
+        let cap = ring_records(window_entries);
         Self {
             cfg,
             base_seq,
-            records: Vec::with_capacity(REC_RING_CAP),
-            rec_mask: REC_RING_CAP as u64 - 1,
+            records: Vec::with_capacity(cap),
+            rec_mask: cap as u64 - 1,
             live: 0,
+            polled: [base_seq; 2],
             published: [None; 2],
             prefix: [0; 2],
             recovery_floor: 0,
@@ -205,15 +226,29 @@ impl PairChannel {
         (seq & self.rec_mask) as usize
     }
 
-    /// Doubles the ring, re-placing the live span at its new masked
-    /// positions. Only reached if commits stall for longer than the
-    /// prune window while dispatch keeps publishing.
+    /// Record-ring capacity, in records.
+    pub fn ring_records(&self) -> usize {
+        self.rec_mask as usize + 1
+    }
+
+    /// The lowest seq any later read can reach: a gate polls its
+    /// commit head, which never moves back, and reads only at or above
+    /// the seq it polls, and nothing reads below `base_seq`.
+    fn read_floor(&self) -> u64 {
+        self.base_seq.max(self.polled[0].min(self.polled[1]))
+    }
+
+    /// Doubles the ring, re-placing the readable span at its new
+    /// masked positions. Only reached when a read can reach further
+    /// back than the ring holds: a drive whose gates never poll
+    /// through [`Self::released_or_next`], or cores whose windows are
+    /// larger than the ring was sized for.
     #[cold]
     fn grow(&mut self) {
         let new_cap = (self.rec_mask as usize + 1) * 2;
         let new_mask = new_cap as u64 - 1;
         let mut new_ring = vec![OpRecord::default(); new_cap];
-        for q in self.base_seq..self.base_seq + self.live {
+        for q in self.read_floor()..self.base_seq + self.live {
             new_ring[(q & new_mask) as usize] = self.records[(q & self.rec_mask) as usize];
         }
         self.records = new_ring;
@@ -245,7 +280,9 @@ impl PairChannel {
         let rel = seq - self.base_seq;
         if rel >= self.live {
             self.live = rel + 1;
-            while self.live > self.rec_mask + 1 {
+            // A new frontier: its slot must not be one a read can
+            // still reach.
+            while seq - self.read_floor() > self.rec_mask {
                 self.grow();
             }
         }
@@ -328,11 +365,12 @@ impl PairChannel {
         Some(release.max(self.recovery_floor))
     }
 
-    /// Resolves a commit poll in one walk. `Ok(upto)` is the largest
-    /// seq in `[seq, seq + cap]` released at `now`, walking
-    /// fingerprint-block by fingerprint-block (every seq in one block
-    /// shares its release time — see [`PairChannel::commit_time`]);
-    /// the result agrees with `commit_time(s, now) <= now` for every
+    /// Resolves `side`'s commit poll of its head, `seq`, in one walk.
+    /// `Ok(upto)` is the largest seq in `[seq, seq + cap]` released at
+    /// `now`, walking fingerprint-block by fingerprint-block (every seq
+    /// in one block shares its release time — see
+    /// [`PairChannel::commit_time`]); the result agrees with
+    /// `commit_time(s, now) <= now` for every
     /// `s` in the span. When `seq` itself is not released, `Err`
     /// carries exactly `commit_time(seq, now)` — the future release
     /// bound, or `None` while the partner has not published through
@@ -340,10 +378,12 @@ impl PairChannel {
     /// bound from a single channel borrow.
     pub fn released_or_next(
         &mut self,
+        side: Side,
         seq: u64,
         now: Cycle,
         cap: u64,
     ) -> Result<u64, Option<Cycle>> {
+        self.polled[side.idx()] = seq;
         let (Some(p0), Some(p1)) = (self.published[0], self.published[1]) else {
             return Err(None);
         };
@@ -512,9 +552,80 @@ mod tests {
         ch.prune_below(3000);
         assert!(ch.commit_time(2999, 10_000).is_some());
         assert!(ch.live <= 1100);
-        // 3000 unpruned publishes forced the ring to double (and the
-        // live span to survive the re-placement).
-        assert!(ch.records.len() > REC_RING_CAP);
+        // 3000 publishes with no poll forced the ring to double (and
+        // the readable span to survive the re-placement).
+        assert!(ch.ring_records() > ring_records(128));
+    }
+
+    /// Drives a 128-entry-window channel whose mute gate polls only
+    /// once the vocal's head is `lag` seqs past its own, comparing every
+    /// read with a ring too large to wrap here. Returns the widest span
+    /// from the lower head to the publish frontier, and the channel.
+    fn lagging_gate(lag: u64) -> (u64, PairChannel) {
+        let cfg = ReunionConfig::default();
+        let mut ch = PairChannel::for_window(cfg, 0, 128);
+        let mut reference = PairChannel::for_window(cfg, 0, 4096);
+        let mut rng = mmm_types::DetRng::new(0x1A66, lag);
+        // Per side (vocal, mute): the head (the next seq to commit) and
+        // the next seq to publish. The vocal keeps up to a window in
+        // flight and the mute up to `lag`, so the vocal's frontier runs
+        // `lag + 127` seqs past the mute's head.
+        let (mut head, mut next) = ([0u64; 2], [0u64; 2]);
+        let in_flight = [128, lag];
+        let mut widest = 0;
+        for step in 0..40_000u64 {
+            let now = step / 2;
+            let i = rng.below(2) as usize;
+            let side = [Side::Vocal, Side::Mute][i];
+            if rng.chance(0.6) {
+                if next[i] < head[i] + in_flight[i] {
+                    let seq = next[i];
+                    let version = seq ^ u64::from(i == 1 && rng.chance(0.02));
+                    let obs = (seq % 3 == 0).then_some((LineAddr(seq % 7), version));
+                    let done = now + rng.below(30);
+                    ch.publish(side, seq, done, obs);
+                    reference.publish(side, seq, done, obs);
+                    next[i] += 1;
+                }
+            } else if i == 0 || head[0] >= head[1] + lag {
+                let seq = head[i];
+                assert_eq!(
+                    ch.commit_time(seq, now),
+                    reference.commit_time(seq, now),
+                    "lag {lag}, step {step}"
+                );
+                ch.prune_below(seq);
+                reference.prune_below(seq);
+                let polled = ch.released_or_next(side, seq, now, 8);
+                assert_eq!(
+                    polled,
+                    reference.released_or_next(side, seq, now, 8),
+                    "lag {lag}, step {step}"
+                );
+                if let Ok(upto) = polled {
+                    head[i] = upto + 1;
+                }
+            }
+            widest = widest.max(next[0].max(next[1]) - head[0].min(head[1]));
+        }
+        assert!(ch.stats().input_incoherence > 0);
+        assert_eq!(ch.stats(), reference.stats(), "lag {lag}");
+        assert_eq!(ch.take_heals(), reference.take_heals(), "lag {lag}");
+        (widest, ch)
+    }
+
+    #[test]
+    fn a_gate_lagging_by_129_reads_intact_records_without_growth() {
+        let (widest, ch) = lagging_gate(129);
+        assert_eq!(widest, 2 * 128 + 1, "the drive reaches the bound");
+        assert_eq!(ch.ring_records(), 512, "the ring never grew");
+    }
+
+    #[test]
+    fn a_gate_lagging_past_the_ring_grows_it_and_reads_intact_records() {
+        let (widest, ch) = lagging_gate(400);
+        assert_eq!(widest, 400 + 128);
+        assert_eq!(ch.ring_records(), 1024);
     }
 
     #[test]

@@ -245,6 +245,11 @@ impl Core {
         self.id
     }
 
+    /// Instruction-window entries.
+    pub fn window_entries(&self) -> u32 {
+        self.window_entries
+    }
+
     /// Installs a context; the core starts executing it on the next
     /// tick.
     ///

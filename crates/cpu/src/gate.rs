@@ -122,7 +122,7 @@ impl PairGate {
         // the burst's remaining polls short-circuit to a compare, and
         // a failed poll reuses the same walk's release bound for the
         // hold cache instead of re-walking via `commit_time`.
-        match ch.released_or_next(seq, now, 8) {
+        match ch.released_or_next(self.side, seq, now, 8) {
             Ok(upto) => {
                 self.grant = (now, upto);
                 self.hold = None;

@@ -21,8 +21,8 @@
 //! Assistance Table, which is system-software state owned by
 //! `mmm-core` — the permission verdict is computed there.
 
-use mmm_mem::{CacheLine, MemorySystem, Mosi, SetAssocCache};
-use mmm_types::config::{CacheGeometry, PabConfig, PabLookup};
+use mmm_mem::{CacheLine, MemorySystem, Mosi, SetAssocCache, TagWay};
+use mmm_types::config::{PabConfig, PabLookup};
 use mmm_types::stats::Log2Histogram;
 use mmm_types::{CoreId, Cycle, LineAddr};
 
@@ -48,7 +48,9 @@ pub struct PabStats {
 /// One core's Protection Assistance Buffer.
 #[derive(Debug)]
 pub struct Pab {
-    entries: SetAssocCache,
+    /// Which PAT lines are resident: a check reads only whether its
+    /// line hits, so the ways are tag-only.
+    entries: SetAssocCache<TagWay>,
     cfg: PabConfig,
     stats: PabStats,
 }
@@ -57,10 +59,8 @@ impl Pab {
     /// Builds a PAB from its configuration (default: 128 entries,
     /// 8-way).
     pub fn new(cfg: PabConfig) -> Self {
-        let geom = CacheGeometry::new(cfg.entries as u64 * 64, cfg.associativity)
-            .expect("PAB geometry validated by SystemConfig");
         Self {
-            entries: SetAssocCache::new(geom),
+            entries: SetAssocCache::new(cfg.geometry()),
             cfg,
             stats: PabStats::default(),
         }
@@ -220,6 +220,14 @@ mod tests {
             pab.filter_store(CORE, b, &mut mem, g * 1000);
         }
         assert!(pab.occupancy() <= 128);
+    }
+
+    #[test]
+    fn entries_are_tag_only_ways() {
+        fn way_bytes<S>(_: &SetAssocCache<S>) -> usize {
+            std::mem::size_of::<S>()
+        }
+        assert_eq!(way_bytes(&setup().0.entries), 8);
     }
 
     #[test]

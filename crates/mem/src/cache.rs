@@ -7,11 +7,16 @@
 //!
 //! # Layout
 //!
-//! A way is 16 bytes: a tag word that packs the line address with the
-//! line's valid, coherent and MOSI bits (0 is an empty way), beside
-//! its version token. Each set keeps one `u64` recency word that lists
-//! the set's 4-bit way numbers from most to least recently used, so a
-//! set holds at most [`MAX_ASSOCIATIVITY`](mmm_types::config::MAX_ASSOCIATIVITY)
+//! A way's tag word packs the line address with the line's valid,
+//! coherent and MOSI bits (0 is an empty way). A cache stores either
+//! the tag word alone ([`TagWay`], 8 bytes) or the tag word beside the
+//! line's version token ([`VersionedWay`], 16 bytes): only copies whose
+//! version a request reads keep one (see [`crate::system`]), and a
+//! tag-only cache reports version 0 for every line.
+//!
+//! Each set keeps one `u64` recency word that lists the set's 4-bit
+//! way numbers from most to least recently used, so a set holds at
+//! most [`MAX_ASSOCIATIVITY`](mmm_types::config::MAX_ASSOCIATIVITY)
 //! (16) ways, a bound [`CacheGeometry::validate`] enforces. Lookups
 //! and updates, which refresh the recency word anyway and mostly hit,
 //! probe in recency order, MRU first, and a hit on the MRU way writes
@@ -104,13 +109,59 @@ const MATCH: u64 = !(COHERENT | STATE);
 /// are stored XORed with it, so a zeroed word is a fresh set.
 const FRESH_RECENCY: u64 = 0xFEDC_BA98_7654_3210;
 
-/// One way: `[tag word, version token]`. Plain integers, so a zeroed
-/// allocation is a cache of empty ways.
-type Way = [u64; 2];
+/// How a cache stores one way. Plain integers, so a zeroed allocation
+/// is a cache of empty ways.
+pub trait Way: Copy {
+    /// The empty way (all zero).
+    const EMPTY: Self;
+    /// A way holding tag word `tag` and version token `version`.
+    fn new(tag: u64, version: VersionToken) -> Self;
+    /// The tag word.
+    fn tag(self) -> u64;
+    /// The version token (0 where the way keeps none).
+    fn version(self) -> VersionToken;
+}
 
-const EMPTY: Way = [0; 2];
+/// A way that keeps only its tag word: for copies whose version no
+/// request reads.
+pub type TagWay = u64;
 
-fn pack(line: CacheLine) -> Way {
+/// A way that keeps `[tag word, version token]`.
+pub type VersionedWay = [u64; 2];
+
+impl Way for TagWay {
+    const EMPTY: Self = 0;
+    #[inline]
+    fn new(tag: u64, _: VersionToken) -> Self {
+        tag
+    }
+    #[inline]
+    fn tag(self) -> u64 {
+        self
+    }
+    #[inline]
+    fn version(self) -> VersionToken {
+        0
+    }
+}
+
+impl Way for VersionedWay {
+    const EMPTY: Self = [0; 2];
+    #[inline]
+    fn new(tag: u64, version: VersionToken) -> Self {
+        [tag, version]
+    }
+    #[inline]
+    fn tag(self) -> u64 {
+        self[0]
+    }
+    #[inline]
+    fn version(self) -> VersionToken {
+        self[1]
+    }
+}
+
+fn pack<S: Way>(line: CacheLine) -> S {
     // A constant message: formatting the address into it spilled every
     // inserted line to the stack and made fills about 1.6x slower.
     assert!(
@@ -122,14 +173,15 @@ fn pack(line: CacheLine) -> Way {
         Mosi::Owned => 1,
         Mosi::Modified => 2,
     };
-    [
+    S::new(
         probe_key(line.addr) | if line.coherent { COHERENT } else { 0 } | state << STATE_SHIFT,
         line.version,
-    ]
+    )
 }
 
 #[inline]
-fn unpack([tag, version]: Way) -> CacheLine {
+fn unpack<S: Way>(way: S) -> CacheLine {
+    let tag = way.tag();
     CacheLine {
         addr: LineAddr(tag >> ADDR_SHIFT),
         state: match (tag & STATE) >> STATE_SHIFT {
@@ -137,14 +189,14 @@ fn unpack([tag, version]: Way) -> CacheLine {
             1 => Mosi::Owned,
             _ => Mosi::Modified,
         },
-        version,
+        version: way.version(),
         coherent: tag & COHERENT != 0,
     }
 }
 
 #[inline]
-fn is_valid([tag, _]: Way) -> bool {
-    tag & VALID != 0
+fn is_valid<S: Way>(way: S) -> bool {
+    way.tag() & VALID != 0
 }
 
 /// The tag bits a resident copy of `addr` matches under [`MATCH`].
@@ -178,8 +230,9 @@ fn promote(recency: u64, pos: usize) -> u64 {
 }
 
 /// A set-associative cache with true-LRU replacement, over any
-/// storage of its ways and recency words: a [`SetAssocCache`] owns
-/// its arrays, and a [`CacheBank`] lends out one of its caches.
+/// storage of its ways (of any [`Way`] type) and recency words: a
+/// [`SetAssocCache`] owns its arrays, and a [`CacheBank`] lends out
+/// one of its caches.
 #[derive(Clone, Debug)]
 pub struct Cache<W, R> {
     ways: W,
@@ -190,24 +243,24 @@ pub struct Cache<W, R> {
     set_mask: u64,
 }
 
-/// A cache that owns its arrays.
-pub type SetAssocCache = Cache<Vec<Way>, Vec<u64>>;
+/// A cache that owns its arrays of `S` ways.
+pub type SetAssocCache<S> = Cache<Vec<S>, Vec<u64>>;
 
 /// `count` empty caches of geometry `geom`, set after set in one pair
 /// of zeroed arrays; `set_mask` indexes one cache's sets.
-fn zeroed(geom: CacheGeometry, count: usize) -> SetAssocCache {
+fn zeroed<S: Way>(geom: CacheGeometry, count: usize) -> SetAssocCache<S> {
     geom.validate().expect("invalid cache geometry");
     let sets = geom.sets() as usize;
     let assoc = geom.associativity as usize;
     Cache {
-        ways: vec![EMPTY; count * sets * assoc],
+        ways: vec![S::EMPTY; count * sets * assoc],
         recency: vec![0; count * sets],
         assoc,
         set_mask: sets as u64 - 1,
     }
 }
 
-impl SetAssocCache {
+impl<S: Way> SetAssocCache<S> {
     /// Builds an empty cache with the given geometry.
     ///
     /// # Panics
@@ -223,13 +276,13 @@ impl SetAssocCache {
 /// in one zeroed array are one fresh mapping, where one array per core
 /// may be carved from the heap and cleared.
 #[derive(Clone, Debug)]
-pub struct CacheBank {
-    all: SetAssocCache,
+pub struct CacheBank<S> {
+    all: SetAssocCache<S>,
     /// Sets per cache.
     sets: usize,
 }
 
-impl CacheBank {
+impl<S: Way> CacheBank<S> {
     /// Builds `count` empty caches with the given geometry.
     ///
     /// # Panics
@@ -244,7 +297,7 @@ impl CacheBank {
 
     /// Cache `i`, to read.
     #[inline]
-    pub fn get(&self, i: usize) -> Cache<&[Way], &[u64]> {
+    pub fn get(&self, i: usize) -> Cache<&[S], &[u64]> {
         let (sets, assoc) = (self.sets, self.all.assoc);
         Cache {
             ways: &self.all.ways[i * sets * assoc..(i + 1) * sets * assoc],
@@ -256,7 +309,7 @@ impl CacheBank {
 
     /// Cache `i`, to read and change.
     #[inline]
-    pub fn get_mut(&mut self, i: usize) -> Cache<&mut [Way], &mut [u64]> {
+    pub fn get_mut(&mut self, i: usize) -> Cache<&mut [S], &mut [u64]> {
         let (sets, assoc) = (self.sets, self.all.assoc);
         Cache {
             ways: &mut self.all.ways[i * sets * assoc..(i + 1) * sets * assoc],
@@ -267,7 +320,7 @@ impl CacheBank {
     }
 }
 
-impl<W: Deref<Target = [Way]>, R: Deref<Target = [u64]>> Cache<W, R> {
+impl<S: Way, W: Deref<Target = [S]>, R: Deref<Target = [u64]>> Cache<W, R> {
     #[inline]
     fn recency(&self, set: usize) -> u64 {
         self.recency[set] ^ FRESH_RECENCY
@@ -291,7 +344,7 @@ impl<W: Deref<Target = [Way]>, R: Deref<Target = [u64]>> Cache<W, R> {
         let key = probe_key(addr);
         self.ways[base..base + self.assoc]
             .iter()
-            .position(|&[tag, _]| tag & MATCH == key)
+            .position(|way| way.tag() & MATCH == key)
             .map(|way| base + way)
     }
 
@@ -309,7 +362,7 @@ impl<W: Deref<Target = [Way]>, R: Deref<Target = [u64]>> Cache<W, R> {
     }
 }
 
-impl<W: DerefMut<Target = [Way]>, R: DerefMut<Target = [u64]>> Cache<W, R> {
+impl<S: Way, W: DerefMut<Target = [S]>, R: DerefMut<Target = [u64]>> Cache<W, R> {
     #[inline]
     fn set_recency(&mut self, set: usize, recency: u64) {
         self.recency[set] = recency ^ FRESH_RECENCY;
@@ -326,7 +379,7 @@ impl<W: DerefMut<Target = [Way]>, R: DerefMut<Target = [u64]>> Cache<W, R> {
         let recency = self.recency(set);
         let (pos, i) = (0..self.assoc)
             .map(|pos| (pos, base + way_at(recency, pos)))
-            .find(|&(_, i)| self.ways[i][0] & MATCH == key)?;
+            .find(|&(_, i)| self.ways[i].tag() & MATCH == key)?;
         if pos != 0 {
             self.set_recency(set, promote(recency, pos));
         }
@@ -358,17 +411,17 @@ impl<W: DerefMut<Target = [Way]>, R: DerefMut<Target = [u64]>> Cache<W, R> {
     /// Returns the victim. If the address is already resident, the
     /// existing line is overwritten in place and `None` is returned.
     pub fn insert(&mut self, line: CacheLine) -> Option<CacheLine> {
-        let new = pack(line);
+        let new: S = pack(line);
         let set = self.set_of(line.addr);
         let base = set * self.assoc;
         let recency = self.recency(set);
         let ways = &mut self.ways[base..base + self.assoc];
         // Overwrite a resident copy, else fill the first empty way,
         // else evict the LRU way.
-        let key = new[0] & MATCH;
+        let key = new.tag() & MATCH;
         let (pos, victim) = match ways
             .iter()
-            .position(|&[tag, _]| tag & MATCH == key)
+            .position(|way| way.tag() & MATCH == key)
             .or_else(|| ways.iter().position(|&w| !is_valid(w)))
         {
             Some(way) => (position(recency, way), None),
@@ -387,7 +440,7 @@ impl<W: DerefMut<Target = [Way]>, R: DerefMut<Target = [u64]>> Cache<W, R> {
     /// Removes `addr` if present, returning the line.
     pub fn invalidate(&mut self, addr: LineAddr) -> Option<CacheLine> {
         let i = self.find(addr)?;
-        Some(unpack(std::mem::replace(&mut self.ways[i], EMPTY)))
+        Some(unpack(std::mem::replace(&mut self.ways[i], S::EMPTY)))
     }
 
     /// Removes every line matching `pred`, appending the removed lines
@@ -402,7 +455,7 @@ impl<W: DerefMut<Target = [Way]>, R: DerefMut<Target = [u64]>> Cache<W, R> {
                 let line = unpack(*way);
                 if pred(&line) {
                     out.push(line);
-                    *way = EMPTY;
+                    *way = S::EMPTY;
                 }
             }
         }
@@ -416,7 +469,7 @@ impl<W: DerefMut<Target = [Way]>, R: DerefMut<Target = [u64]>> Cache<W, R> {
         for way in self.ways.iter_mut() {
             if is_valid(*way) && pred(&unpack(*way)) {
                 removed += 1;
-                *way = EMPTY;
+                *way = S::EMPTY;
             }
         }
         removed
@@ -424,7 +477,7 @@ impl<W: DerefMut<Target = [Way]>, R: DerefMut<Target = [u64]>> Cache<W, R> {
 
     /// Empties the cache completely.
     pub fn clear(&mut self) {
-        self.ways.fill(EMPTY);
+        self.ways.fill(S::EMPTY);
     }
 }
 
@@ -434,7 +487,7 @@ mod tests {
     use mmm_types::config::CacheGeometry;
     use mmm_types::DetRng;
 
-    fn tiny() -> SetAssocCache {
+    fn tiny() -> SetAssocCache<VersionedWay> {
         // 4 sets x 2 ways.
         SetAssocCache::new(CacheGeometry::new(8 * 64, 2).unwrap())
     }
@@ -449,8 +502,9 @@ mod tests {
     }
 
     #[test]
-    fn a_way_is_sixteen_bytes() {
-        assert_eq!(std::mem::size_of::<Way>(), 16);
+    fn a_tag_way_is_eight_bytes_and_a_versioned_way_sixteen() {
+        assert_eq!(std::mem::size_of::<TagWay>(), 8);
+        assert_eq!(std::mem::size_of::<VersionedWay>(), 16);
     }
 
     #[test]
@@ -464,13 +518,18 @@ mod tests {
                         version: u64::MAX - addr,
                         coherent,
                     };
-                    let w = pack(l);
+                    let w: VersionedWay = pack(l);
                     assert!(is_valid(w));
                     assert_eq!(unpack(w), l);
+                    // A tag-only way keeps everything but the version.
+                    let t: TagWay = pack(l);
+                    assert!(is_valid(t));
+                    assert_eq!(unpack(t), CacheLine { version: 0, ..l });
                 }
             }
         }
-        assert!(!is_valid(EMPTY));
+        assert!(!is_valid(VersionedWay::EMPTY));
+        assert!(!is_valid(TagWay::EMPTY));
     }
 
     #[test]
@@ -710,19 +769,23 @@ mod tests {
         }
     }
 
-    #[test]
-    fn recency_words_replace_exactly_like_stamped_lru() {
+    /// Replays random operations on a cache of `S` ways and on the
+    /// stamped reference, whose versions are `token` where `S` keeps
+    /// one and 0 where it does not.
+    fn replays_like_stamped_lru<S: Way>() {
+        let keeps_version = S::new(0, 1).version() == 1;
         for (n, assoc) in [1u32, 2, 4, 8, 16].into_iter().enumerate() {
             // Four sets, and twice as many addresses as lines, so
             // sets fill, evict and drain constantly.
             let geom = CacheGeometry::new(4 * assoc as u64 * 64, assoc).unwrap();
-            let mut c = SetAssocCache::new(geom);
+            let mut c = SetAssocCache::<S>::new(geom);
             let mut r = StampLru::new(geom);
             let mut rng = DetRng::new(0x1E57, n as u64);
             let span = 8 * assoc as u64;
             for step in 0..20_000 {
                 let addr = LineAddr(rng.below(span));
                 let token = rng.next_u64();
+                let version = if keeps_version { token } else { 0 };
                 let ctx = format!("{assoc} ways, step {step}");
                 match rng.below(100) {
                     0..=24 => assert_eq!(c.lookup(addr), r.lookup(addr), "{ctx}"),
@@ -730,7 +793,7 @@ mod tests {
                         let state = [Mosi::Modified, Mosi::Owned, Mosi::Shared][token as usize % 3];
                         let f = move |l: &mut CacheLine| {
                             l.state = state;
-                            l.version = token;
+                            l.version = version;
                             l.coherent = token & 8 != 0;
                         };
                         assert_eq!(c.update(addr, f), r.update(addr, f), "{ctx}");
@@ -740,7 +803,7 @@ mod tests {
                         let l = CacheLine {
                             addr,
                             state: [Mosi::Modified, Mosi::Owned, Mosi::Shared][token as usize % 3],
-                            version: token,
+                            version,
                             coherent: token & 16 != 0,
                         };
                         assert_eq!(c.insert(l), r.insert(l), "{ctx}");
@@ -771,5 +834,15 @@ mod tests {
                 assert_eq!(c.occupancy(), r.occupancy(), "{ctx}");
             }
         }
+    }
+
+    #[test]
+    fn recency_words_replace_exactly_like_stamped_lru() {
+        replays_like_stamped_lru::<VersionedWay>();
+    }
+
+    #[test]
+    fn tag_only_ways_replace_exactly_like_stamped_lru() {
+        replays_like_stamped_lru::<TagWay>();
     }
 }

@@ -41,7 +41,7 @@ pub mod request;
 pub mod stats;
 pub mod system;
 
-pub use cache::{CacheLine, Mosi, SetAssocCache};
+pub use cache::{CacheLine, Mosi, SetAssocCache, TagWay};
 pub use request::{Access, Source, VersionToken};
 pub use stats::MemStats;
 pub use system::MemorySystem;

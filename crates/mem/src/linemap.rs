@@ -7,11 +7,14 @@
 //! probe through control-byte groups and `Option`-wrapped buckets.
 //! This table exploits what those maps cannot assume:
 //!
-//! * keys are plain 64-bit line addresses, never `u64::MAX` (the
-//!   machine's physical address space tops out far below 2^63), so a
-//!   sentinel key marks empty slots and no occupancy metadata exists;
-//! * values are small `Copy` records, so slots store them inline and a
-//!   probe touches exactly one cache line for the common hit.
+//! * keys are line addresses below 2^32 − 1 (the machine's last line,
+//!   the end of the PAT backing store in `mmm_workload::layout`, is
+//!   far below), so a key is stored as a checked `u32` and the
+//!   sentinel `u32::MAX` marks empty slots with no occupancy metadata;
+//! * values are small `Copy` records, stored in an array of their own
+//!   beside the keys, so a slot costs 4 bytes plus the value (12 for
+//!   the directory's and the version store's 8-byte values, where a
+//!   `(u64, V)` slot costs 16) and a probe scans a dense key array.
 //!
 //! Collision policy is linear probing with backward-shift deletion —
 //! no tombstones, so load factor and probe lengths stay honest across
@@ -20,15 +23,14 @@
 
 use mmm_types::LineAddr;
 
-/// Sentinel key marking an empty slot. Real line addresses are
-/// derived from physical addresses well below 2^63.
-const EMPTY: u64 = u64::MAX;
+/// Sentinel key marking an empty slot; no line's key equals it.
+const EMPTY: u32 = u32::MAX;
 
 /// SplitMix64 finalizer — same mixer as `mmm_types::fastmap`, inlined
 /// here so a probe is mix + mask with no `Hasher` plumbing.
 #[inline]
-fn mix(key: u64) -> u64 {
-    let mut x = key;
+fn mix(key: u32) -> u64 {
+    let mut x = key as u64;
     x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x ^= x >> 27;
     x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -36,14 +38,37 @@ fn mix(key: u64) -> u64 {
     x
 }
 
+/// The stored key of `line`.
+///
+/// # Panics
+///
+/// Panics if the line address does not fit below [`EMPTY`].
+#[inline]
+fn key(line: LineAddr) -> u32 {
+    match u32::try_from(line.0) {
+        Ok(k) if k != EMPTY => k,
+        _ => key_out_of_range(),
+    }
+}
+
+/// The [`key`] panic, cold and out of line so that the check costs a
+/// probe one compare.
+#[cold]
+#[inline(never)]
+fn key_out_of_range() -> ! {
+    panic!("line address exceeds the 32-bit line-map key")
+}
+
 /// Open-addressed map from [`LineAddr`] to a small `Copy` value.
 #[derive(Clone, Debug)]
 pub struct LineMap<V> {
-    /// `(key, value)` slots; `key == EMPTY` marks a free slot.
-    slots: Vec<(u64, V)>,
+    /// Slot keys; [`EMPTY`] marks a free slot.
+    keys: Vec<u32>,
+    /// Slot values, beside `keys`.
+    values: Vec<V>,
     /// Occupied slot count.
     len: usize,
-    /// `slots.len() - 1`; capacity is always a power of two.
+    /// `keys.len() - 1`; capacity is always a power of two.
     mask: usize,
 }
 
@@ -58,7 +83,8 @@ impl<V: Copy + Default> LineMap<V> {
     pub fn with_capacity_pow2(cap: usize) -> Self {
         let cap = cap.next_power_of_two().max(16);
         Self {
-            slots: vec![(EMPTY, V::default()); cap],
+            keys: vec![EMPTY; cap],
+            values: vec![V::default(); cap],
             len: 0,
             mask: cap - 1,
         }
@@ -77,10 +103,10 @@ impl<V: Copy + Default> LineMap<V> {
     /// Slot index for `key`, or of the first empty slot in its probe
     /// chain if absent.
     #[inline]
-    fn probe(&self, key: u64) -> usize {
+    fn probe(&self, key: u32) -> usize {
         let mut i = (mix(key) as usize) & self.mask;
         loop {
-            let k = self.slots[i].0;
+            let k = self.keys[i];
             if k == key || k == EMPTY {
                 return i;
             }
@@ -91,19 +117,18 @@ impl<V: Copy + Default> LineMap<V> {
     /// Looks up the value for `line`.
     #[inline]
     pub fn get(&self, line: LineAddr) -> Option<&V> {
-        let i = self.probe(line.0);
-        let (k, ref v) = self.slots[i];
-        (k != EMPTY).then_some(v)
+        let i = self.probe(key(line));
+        (self.keys[i] != EMPTY).then(|| &self.values[i])
     }
 
     /// Mutable lookup.
     #[inline]
     pub fn get_mut(&mut self, line: LineAddr) -> Option<&mut V> {
-        let i = self.probe(line.0);
-        if self.slots[i].0 == EMPTY {
+        let i = self.probe(key(line));
+        if self.keys[i] == EMPTY {
             return None;
         }
-        Some(&mut self.slots[i].1)
+        Some(&mut self.values[i])
     }
 
     /// Inserts or overwrites the value for `line`.
@@ -116,17 +141,18 @@ impl<V: Copy + Default> LineMap<V> {
     /// `V::default()` first if absent.
     #[inline]
     pub fn entry_or_default(&mut self, line: LineAddr) -> &mut V {
-        debug_assert_ne!(line.0, EMPTY, "line address collides with sentinel");
-        let mut i = self.probe(line.0);
-        if self.slots[i].0 == EMPTY {
-            if (self.len + 1) * 8 > self.slots.len() * 7 {
+        let k = key(line);
+        let mut i = self.probe(k);
+        if self.keys[i] == EMPTY {
+            if (self.len + 1) * 8 > self.keys.len() * 7 {
                 self.grow();
-                i = self.probe(line.0);
+                i = self.probe(k);
             }
-            self.slots[i] = (line.0, V::default());
+            self.keys[i] = k;
+            self.values[i] = V::default();
             self.len += 1;
         }
-        &mut self.slots[i].1
+        &mut self.values[i]
     }
 
     /// Removes the entry for `line`, returning its value if present.
@@ -134,16 +160,16 @@ impl<V: Copy + Default> LineMap<V> {
     /// Backward-shift deletion: slides the rest of the probe cluster
     /// back over the hole so later lookups never traverse tombstones.
     pub fn remove(&mut self, line: LineAddr) -> Option<V> {
-        let mut hole = self.probe(line.0);
-        if self.slots[hole].0 == EMPTY {
+        let mut hole = self.probe(key(line));
+        if self.keys[hole] == EMPTY {
             return None;
         }
-        let removed = self.slots[hole].1;
+        let removed = self.values[hole];
         self.len -= 1;
         let mut i = hole;
         loop {
             i = (i + 1) & self.mask;
-            let (k, v) = self.slots[i];
+            let k = self.keys[i];
             if k == EMPTY {
                 break;
             }
@@ -153,24 +179,28 @@ impl<V: Copy + Default> LineMap<V> {
             let dist_home = i.wrapping_sub(home) & self.mask;
             let dist_hole = i.wrapping_sub(hole) & self.mask;
             if dist_home >= dist_hole {
-                self.slots[hole] = (k, v);
+                self.keys[hole] = k;
+                self.values[hole] = self.values[i];
                 hole = i;
             }
         }
-        self.slots[hole] = (EMPTY, V::default());
+        self.keys[hole] = EMPTY;
+        self.values[hole] = V::default();
         Some(removed)
     }
 
     /// Doubles capacity and reinserts every live entry.
     #[cold]
     fn grow(&mut self) {
-        let doubled = vec![(EMPTY, V::default()); self.slots.len() * 2];
-        let old = std::mem::replace(&mut self.slots, doubled);
-        self.mask = self.slots.len() - 1;
-        for (k, v) in old {
+        let cap = self.keys.len() * 2;
+        let keys = std::mem::replace(&mut self.keys, vec![EMPTY; cap]);
+        let values = std::mem::replace(&mut self.values, vec![V::default(); cap]);
+        self.mask = cap - 1;
+        for (k, v) in keys.into_iter().zip(values) {
             if k != EMPTY {
                 let i = self.probe(k);
-                self.slots[i] = (k, v);
+                self.keys[i] = k;
+                self.values[i] = v;
             }
         }
     }
@@ -179,6 +209,53 @@ impl<V: Copy + Default> LineMap<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::directory::DirEntry;
+    use crate::request::VersionToken;
+    use mmm_workload::layout::LAST_LINE;
+
+    /// Bytes one slot of `m` takes: its key and its value.
+    fn slot_bytes<V>(m: &LineMap<V>) -> usize {
+        std::mem::size_of_val(&m.keys[0]) + std::mem::size_of_val(&m.values[0])
+    }
+
+    #[test]
+    fn directory_and_version_slots_are_twelve_bytes() {
+        assert_eq!(slot_bytes(&LineMap::<DirEntry>::default()), 12);
+        assert_eq!(slot_bytes(&LineMap::<VersionToken>::default()), 12);
+    }
+
+    #[test]
+    fn keys_round_trip_up_to_the_last_line() {
+        let mut m: LineMap<u64> = LineMap::with_capacity_pow2(16);
+        let top = LAST_LINE.0;
+        let lines: Vec<u64> = (0..64)
+            .chain(top - 63..=top)
+            .chain([EMPTY as u64 - 1])
+            .collect();
+        for &l in &lines {
+            m.insert(LineAddr(l), !l);
+        }
+        assert_eq!(m.len(), lines.len());
+        for &l in &lines {
+            assert_eq!(m.get(LineAddr(l)), Some(&!l), "line {l:#x}");
+        }
+        for &l in &lines {
+            assert_eq!(m.remove(LineAddr(l)), Some(!l), "line {l:#x}");
+        }
+        assert!(m.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 32-bit line-map key")]
+    fn the_sentinel_is_not_a_key() {
+        LineMap::<u64>::default().insert(LineAddr(EMPTY as u64), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 32-bit line-map key")]
+    fn lines_past_32_bits_are_refused() {
+        LineMap::<u64>::default().get(LineAddr(1 << 32));
+    }
 
     #[test]
     fn insert_get_remove() {

@@ -25,7 +25,7 @@ use mmm_trace::{ProfPhase, Profiler};
 use mmm_types::config::SystemConfig;
 use mmm_types::{CoreId, Cycle, LineAddr};
 
-use crate::cache::{CacheBank, CacheLine, Mosi, SetAssocCache};
+use crate::cache::{CacheBank, CacheLine, Mosi, SetAssocCache, TagWay, VersionedWay};
 use crate::directory::Directory;
 use crate::dram::Dram;
 use crate::linemap::LineMap;
@@ -48,13 +48,19 @@ pub struct FlushOutcome {
 }
 
 /// The machine's memory hierarchy.
+///
+/// Only the L1-Ds and L2s keep a version token per line: a mute reads
+/// its own, possibly stale, copies there. L1-I hits report version 0
+/// (code is read-only), and the exclusive L3 only ever holds coherent
+/// lines, so a fill from it takes the line's current version; those
+/// two levels keep tag-only ways.
 pub struct MemorySystem {
     cfg: SystemConfig,
     // Per-core caches, indexed by core.
-    l1i: CacheBank,
-    l1d: CacheBank,
-    l2: CacheBank,
-    l3: SetAssocCache,
+    l1i: CacheBank<TagWay>,
+    l1d: CacheBank<VersionedWay>,
+    l2: CacheBank<VersionedWay>,
+    l3: SetAssocCache<TagWay>,
     dir: Directory,
     versions: LineMap<VersionToken>,
     dram: Dram,
@@ -1047,9 +1053,29 @@ mod tests {
         let slots = SystemConfig::default().mem.l2.lines();
         assert!(out.complete_at - 1000 >= slots);
         assert!(m.peek_l2(C1, LineAddr(0x9000)).is_none());
-        // The state line survives in the L3, still current.
-        assert_eq!(m.peek_l3(LineAddr(0xA000)).map(|l| l.version), Some(t));
+        // The state line survives in the L3, dirty and still current:
+        // a coherent reload finds it there with the stored token.
+        assert!(m
+            .peek_l3(LineAddr(0xA000))
+            .is_some_and(|l| l.state.is_dirty()));
         assert_eq!(m.current_version(LineAddr(0xA000)), t);
+        let reload = m.load(C1, LineAddr(0xA000), true, out.complete_at);
+        assert_eq!((reload.source, reload.version), (Source::L3, t));
+    }
+
+    #[test]
+    fn only_the_l1ds_and_l2s_keep_versions() {
+        fn bank<S>(_: &CacheBank<S>) -> usize {
+            std::mem::size_of::<S>()
+        }
+        fn cache<S>(_: &SetAssocCache<S>) -> usize {
+            std::mem::size_of::<S>()
+        }
+        let m = sys();
+        assert_eq!(bank(&m.l1i), 8);
+        assert_eq!(bank(&m.l1d), 16);
+        assert_eq!(bank(&m.l2), 16);
+        assert_eq!(cache(&m.l3), 8);
     }
 
     #[test]

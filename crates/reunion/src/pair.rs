@@ -52,7 +52,11 @@ impl DmrPair {
         mut ctx: ExecContext,
         cfg: &ReunionConfig,
     ) -> DmrPair {
-        let channel = Rc::new(RefCell::new(PairChannel::new(*cfg, ctx.seq())));
+        let channel = Rc::new(RefCell::new(PairChannel::for_window(
+            *cfg,
+            ctx.seq(),
+            vocal.window_entries(),
+        )));
         let mute_ctx = ctx.fork();
         vocal.set_context(ctx);
         vocal.set_coherent(true);
@@ -172,6 +176,11 @@ impl DmrPair {
     /// (see [`PairChannel::inject_fault`]).
     pub fn inject_fault(&self) -> bool {
         self.channel.borrow_mut().inject_fault()
+    }
+
+    /// The channel's record-ring capacity, in records.
+    pub fn ring_records(&self) -> usize {
+        self.channel.borrow().ring_records()
     }
 
     /// Channel counters (cloned out of the shared channel).

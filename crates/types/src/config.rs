@@ -6,7 +6,7 @@
 //! `DESIGN.md` maps one-to-one onto fields here.
 
 use crate::error::{Error, Result};
-use crate::ids::LINE_BYTES;
+use crate::ids::{LINE_BYTES, PAGE_BYTES};
 
 /// Most ways a cache set (or a PAB set) may have: a set's recency
 /// word lists its ways in 4-bit slots.
@@ -15,6 +15,30 @@ pub const MAX_ASSOCIATIVITY: u32 = 16;
 /// Most cores a machine may have: the directory keeps each line's
 /// sharers as a 32-bit mask.
 pub const MAX_CORES: u32 = 32;
+
+/// Largest capacity of a cache or a PAB, in bytes (64 MB): its arrays
+/// are allocated whole.
+pub const MAX_CACHE_BYTES: u64 = 64 << 20;
+
+/// Most instruction-window entries a core may have: the window and
+/// each pair's fingerprint record ring are allocated by it.
+pub const MAX_WINDOW_ENTRIES: u32 = 4096;
+
+/// Most data-TLB entries a core may have.
+pub const MAX_TLB_ENTRIES: u32 = 1 << 16;
+
+/// Most TSO store-buffer entries a core may have.
+pub const MAX_STORE_BUFFER_ENTRIES: u32 = 4096;
+
+/// Most L3/directory banks a machine may have.
+pub const MAX_L3_BANKS: u32 = 1024;
+
+/// Longest latency, penalty or occupancy, in cycles (2^24): the
+/// machine adds a few of them in 32-bit arithmetic.
+pub const MAX_LATENCY_CYCLES: u32 = 1 << 24;
+
+/// Longest gang-scheduling timeslice, in cycles (2^48).
+pub const MAX_TIMESLICE_CYCLES: u64 = 1 << 48;
 
 /// Geometry of one set-associative cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,7 +71,8 @@ impl CacheGeometry {
     }
 
     /// Checks that the geometry is non-degenerate, power-of-two
-    /// indexed, and at most [`MAX_ASSOCIATIVITY`] ways.
+    /// indexed, at most [`MAX_ASSOCIATIVITY`] ways and at most
+    /// [`MAX_CACHE_BYTES`].
     pub fn validate(&self) -> Result<()> {
         if self.associativity == 0 || self.associativity > MAX_ASSOCIATIVITY {
             return Err(Error::config(format!(
@@ -62,6 +87,11 @@ impl CacheGeometry {
             return Err(Error::config(
                 "cache size must be a nonzero multiple of line size times associativity",
             ));
+        }
+        if self.size_bytes > MAX_CACHE_BYTES {
+            return Err(Error::config(format!(
+                "cache size must be at most {MAX_CACHE_BYTES} bytes"
+            )));
         }
         if !self.sets().is_power_of_two() {
             return Err(Error::config("cache set count must be a power of two"));
@@ -264,6 +294,17 @@ pub struct PabConfig {
     pub lookup: PabLookup,
 }
 
+impl PabConfig {
+    /// The PAB array's geometry: one 64-byte line of PAT bits per
+    /// entry.
+    pub fn geometry(&self) -> CacheGeometry {
+        CacheGeometry {
+            size_bytes: self.entries as u64 * LINE_BYTES,
+            associativity: self.associativity,
+        }
+    }
+}
+
 impl Default for PabConfig {
     fn default() -> Self {
         Self {
@@ -359,11 +400,51 @@ impl SystemConfig {
         self.mem.l1d.validate()?;
         self.mem.l2.validate()?;
         self.mem.l3.validate()?;
-        if self.core.width == 0 || self.core.window_entries == 0 {
-            return Err(Error::config("core width and window must be nonzero"));
+        if self.core.width == 0 {
+            return Err(Error::config("core width must be nonzero"));
+        }
+        if !(1..=MAX_WINDOW_ENTRIES).contains(&self.core.window_entries) {
+            return Err(Error::config(format!(
+                "instruction window must be 1 to {MAX_WINDOW_ENTRIES} entries"
+            )));
         }
         if self.core.load_queue == 0 || self.core.store_queue == 0 {
             return Err(Error::config("load/store queues must be nonzero"));
+        }
+        if !(1..=MAX_TLB_ENTRIES).contains(&self.core.tlb_entries) {
+            return Err(Error::config(format!(
+                "TLB must have 1 to {MAX_TLB_ENTRIES} entries"
+            )));
+        }
+        if !(1..=MAX_STORE_BUFFER_ENTRIES).contains(&self.mem.store_buffer_entries) {
+            return Err(Error::config(format!(
+                "store buffer must have 1 to {MAX_STORE_BUFFER_ENTRIES} entries"
+            )));
+        }
+        if self.mem.dram_bytes_per_cycle == 0 {
+            return Err(Error::config("DRAM bandwidth must be nonzero"));
+        }
+        let latencies = [
+            self.core.mispredict_penalty,
+            self.core.tlb_fill_latency,
+            self.mem.l1_latency,
+            self.mem.l2_latency,
+            self.mem.l3_latency,
+            self.mem.interconnect_latency,
+            self.mem.dram_latency,
+            self.mem.bank_occupancy_cycles,
+            self.reunion.fingerprint_latency,
+            self.reunion.check_stages,
+            self.reunion.sync_latency,
+            self.reunion.recovery_penalty,
+            self.pab.serial_latency,
+            self.virt.transition_machine_cycles,
+            self.virt.state_op_interval_cycles,
+        ];
+        if latencies.iter().any(|&l| l > MAX_LATENCY_CYCLES) {
+            return Err(Error::config(format!(
+                "latencies, penalties and occupancies must be at most {MAX_LATENCY_CYCLES} cycles"
+            )));
         }
         if !(0.0..=1.0).contains(&self.core.branch_mispredict_rate) {
             return Err(Error::config("mispredict rate must be in [0,1]"));
@@ -374,24 +455,27 @@ impl SystemConfig {
         if self.reunion.fingerprint_interval == 0 {
             return Err(Error::config("fingerprint interval must be nonzero"));
         }
-        if self.pab.entries == 0 || self.pab.associativity == 0 {
-            return Err(Error::config("PAB geometry must be nonzero"));
-        }
-        if self.pab.associativity > MAX_ASSOCIATIVITY {
+        self.pab.geometry().validate().map_err(|e| match e {
+            Error::Config(m) => Error::config(format!("PAB {m}")),
+            e => e,
+        })?;
+        if !(1..=PAGE_BYTES).contains(&(self.virt.vcpu_state_bytes as u64)) {
             return Err(Error::config(format!(
-                "PAB associativity must be at most {MAX_ASSOCIATIVITY}"
+                "VCPU state must be 1 to {PAGE_BYTES} bytes (one scratchpad page)"
             )));
         }
-        if !self.pab.entries.is_multiple_of(self.pab.associativity)
-            || !(self.pab.entries / self.pab.associativity).is_power_of_two()
-        {
-            return Err(Error::config("PAB set count must be a power of two"));
+        if !(1..=MAX_TIMESLICE_CYCLES).contains(&self.virt.timeslice_cycles) {
+            return Err(Error::config(format!(
+                "timeslice must be 1 to {MAX_TIMESLICE_CYCLES} cycles"
+            )));
         }
         if self.virt.flush_lines_per_cycle == 0 {
             return Err(Error::config("flush rate must be nonzero"));
         }
-        if self.mem.l3_banks == 0 || !self.mem.l3_banks.is_power_of_two() {
-            return Err(Error::config("L3 bank count must be a power of two"));
+        if !self.mem.l3_banks.is_power_of_two() || self.mem.l3_banks > MAX_L3_BANKS {
+            return Err(Error::config(format!(
+                "L3 bank count must be a power of two, at most {MAX_L3_BANKS}"
+            )));
         }
         Ok(())
     }
@@ -503,5 +587,48 @@ mod tests {
         let mut c = SystemConfig::default();
         c.pab.entries = 96; // 96/8 = 12 sets, not a power of two
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn allocation_sizes_are_bounded() {
+        let too_big: [fn(&mut SystemConfig); 10] = [
+            |c| c.mem.l2.size_bytes = MAX_CACHE_BYTES * 2,
+            |c| c.pab.entries = (MAX_CACHE_BYTES / LINE_BYTES) as u32 * 2,
+            |c| c.core.window_entries = MAX_WINDOW_ENTRIES + 1,
+            |c| c.core.tlb_entries = MAX_TLB_ENTRIES + 1,
+            |c| c.mem.store_buffer_entries = MAX_STORE_BUFFER_ENTRIES + 1,
+            |c| c.mem.l3_banks = MAX_L3_BANKS * 2,
+            |c| c.virt.vcpu_state_bytes = PAGE_BYTES as u32 + 1,
+            |c| c.virt.timeslice_cycles = MAX_TIMESLICE_CYCLES + 1,
+            |c| c.reunion.fingerprint_latency = MAX_LATENCY_CYCLES + 1,
+            |c| c.mem.dram_latency = u32::MAX,
+        ];
+        let zero: [fn(&mut SystemConfig); 6] = [
+            |c| c.core.window_entries = 0,
+            |c| c.core.tlb_entries = 0,
+            |c| c.mem.store_buffer_entries = 0,
+            |c| c.mem.dram_bytes_per_cycle = 0,
+            |c| c.virt.vcpu_state_bytes = 0,
+            |c| c.virt.timeslice_cycles = 0,
+        ];
+        for (i, set) in too_big.iter().chain(&zero).enumerate() {
+            let mut c = SystemConfig::default();
+            set(&mut c);
+            assert!(
+                matches!(c.validate(), Err(Error::Config(_))),
+                "mutation {i}: {c:?}"
+            );
+        }
+        let mut c = SystemConfig::default();
+        c.mem.l3.size_bytes = MAX_CACHE_BYTES;
+        c.pab.entries = (MAX_CACHE_BYTES / LINE_BYTES) as u32;
+        c.core.window_entries = MAX_WINDOW_ENTRIES;
+        c.core.tlb_entries = MAX_TLB_ENTRIES;
+        c.mem.store_buffer_entries = MAX_STORE_BUFFER_ENTRIES;
+        c.mem.l3_banks = MAX_L3_BANKS;
+        c.virt.vcpu_state_bytes = PAGE_BYTES as u32;
+        c.virt.timeslice_cycles = MAX_TIMESLICE_CYCLES;
+        c.mem.dram_latency = MAX_LATENCY_CYCLES;
+        assert_eq!(c.validate(), Ok(()), "every bound is inclusive");
     }
 }

@@ -11,7 +11,7 @@
 //! lets the workload generator, the PAT initialization, and the
 //! transition engine agree on which pages belong to whom.
 
-use mmm_types::ids::PAGE_BYTES;
+use mmm_types::ids::{LINE_BYTES, PAGE_BYTES};
 use mmm_types::{LineAddr, PageAddr, PhysAddr, VcpuId, VmId};
 use std::ops::Range;
 
@@ -30,6 +30,20 @@ pub const SCRATCHPAD_PER_VCPU: u64 = 2 * PAGE_BYTES;
 
 /// Base of the PAT backing store.
 pub const PAT_BASE: u64 = SCRATCHPAD_BASE + (1 << 26);
+
+/// Bytes reserved for the PAT backing store (64 MB).
+const PAT_BYTES: u64 = 64 << 20;
+
+/// End of the PAT backing store: the top of the machine's physical
+/// address space. No address the machine touches lies at or above it.
+pub const PAT_END: u64 = PAT_BASE + PAT_BYTES;
+
+/// The machine's last line, at the end of the PAT backing store.
+pub const LAST_LINE: LineAddr = LineAddr(PAT_END / LINE_BYTES - 1);
+
+// `mmm-mem`'s line maps store line keys as `u32`, with `u32::MAX`
+// marking an empty slot, so every line must lie below it.
+const _: () = assert!(LAST_LINE.0 < u32::MAX as u64);
 
 /// Bytes of code region per VM (16 MB).
 const CODE_BYTES: u64 = 16 << 20;
